@@ -31,11 +31,9 @@ from .models import (
     SourceSpec,
     SystemSpec,
     _log_m,
-    _rate_function_at,
-    _rate_function_table,
-    _rate_geometry,
-    _system_geometry,
+    _TiltedFamily,
     channel_from_dict,
+    channel_phi_at,
     ensemble_from_dict,
     parse_lambda,
     source_from_dict,
@@ -181,7 +179,10 @@ def gamma(spec: WiretapSpec, rate: float, resolution: int = 1000) -> GammaResult
 
 def secrecy_capacity(spec: WiretapSpec, resolution: int = 1000,
                      tol: float = 1e-8) -> float:
-    """Solve R = Gamma(R) by bisection on the grid-evaluated Gamma."""
+    """Solve R = Gamma(R) by bisection on the grid-evaluated Gamma.
+
+    Returns the lower bracket, so the result R keeps R <= Gamma(R) <= Gamma(0).
+    """
     grid, mi_y, _ = _mi_tables(spec, resolution)
     r_max = float(mi_y.max())
     g0 = gamma(spec, 0.0, resolution).value
@@ -196,7 +197,7 @@ def secrecy_capacity(spec: WiretapSpec, resolution: int = 1000,
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 def tap_capacity(spec: WiretapSpec, resolution: int = 1000) -> float:
@@ -308,8 +309,8 @@ class MacSpec:
                           EnsembleSpec(m_joint), self.lam)
 
 
-def _conditional_geometry(spec: MacSpec):
-    """Rate-function geometry of the T-codeword energy given the true (xs, y).
+def _conditional_family(spec: MacSpec) -> _TiltedFamily:
+    """Tilted family of the T-codeword energy given the true (xs, y).
 
     The conditioning pair is folded into the output axis with its true joint
     law: xs ~ M_S and y from the channel fed by both ensembles.
@@ -322,20 +323,18 @@ def _conditional_geometry(spec: MacSpec):
     joint = m_s[:, None] * np.einsum("t,sty->sy", m_t, w)   # law of (xs, y)
     joint = (joint / joint.sum()).ravel()
     energies = np.transpose(e, (1, 0, 2)).reshape(kt, ks * ky)
-    return _rate_geometry(_log_m(spec.ensemble_t), energies, joint)
+    return _TiltedFamily(_log_m(spec.ensemble_t), energies, joint)
 
 
 def mac_phi_conditional(spec: MacSpec,
                         grid_size: int = DEFAULT_GRID_SIZE) -> ConcaveFunction:
     """Rate function of the channel energy with the S-codeword pinned."""
-    geom = _conditional_geometry(spec)
     e = spec.channel.hamiltonian
-    e_max = float(e[np.isfinite(e)].max())
-    return _rate_function_table(geom, 0.0, e_max, grid_size)
+    return _conditional_family(spec).table(0.0, float(e[np.isfinite(e)].max()), grid_size)
 
 
 def mac_phi_conditional_at(spec: MacSpec, epsilon: float) -> PhiPoint:
-    return _rate_function_at(_conditional_geometry(spec), epsilon)
+    return _conditional_family(spec).at(epsilon)
 
 
 def mac_mi_user(spec: MacSpec, grid_size: int = DEFAULT_GRID_SIZE) -> float:
@@ -350,7 +349,7 @@ def mac_mi_user(spec: MacSpec, grid_size: int = DEFAULT_GRID_SIZE) -> float:
         raise PhaseMismatch(f"combined system is {report.phase.value}, not Paramagnetic")
     eps_c = zeta_prime_neg(combined)
     cond = mac_phi_conditional_at(spec, eps_c).value
-    joint = _rate_function_at(_system_geometry(combined), eps_c).value
+    joint = channel_phi_at(combined, eps_c).value
     return float(spec.lam) * (cond - joint)
 
 

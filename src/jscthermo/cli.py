@@ -49,12 +49,11 @@ from .errors import (
 from .models import (
     ChannelSpec,
     SystemSpec,
+    channel_phi_at,
     ensemble_from_dict,
     source_from_dict,
     system_from_dict,
     zeta_prime_neg,
-    _rate_function_at,
-    _system_geometry,
 )
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
@@ -230,6 +229,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.n < 1:
+        raise SpecError("n", "need a block length of at least 1")
+    if args.trials and args.trials < 100:
+        raise SpecError("trials", "need at least 100 Monte Carlo trials")
     system = system_from_dict(_load_spec(args.spec))
     budget = args.budget
     formula_mi = mutual_information_rate(system, grid_size=args.grid)
@@ -298,8 +301,13 @@ def _eavesdrop_system(block: dict, wt, lam) -> Optional[SystemSpec]:
 
 
 def _cmd_wiretap(args) -> int:
+    if args.resolution < 1:
+        raise SpecError("resolution", "need at least 1 simplex step")
     spec = _load_spec(args.spec)
     wt = wiretap_from_dict(spec)
+    if wt.main_channel.in_size > 3:
+        raise SpecError("wiretap.main", "capacities use the exhaustive simplex grid, "
+                        "which covers at most 3 input letters")
     resolution = args.resolution
     c_s = secrecy_capacity(wt, resolution)
     g0 = gamma(wt, 0.0, resolution)
@@ -325,6 +333,8 @@ def _cmd_wiretap(args) -> int:
 
 
 def _cmd_mac(args) -> int:
+    if args.n < 0:
+        raise SpecError("n", "block length must be nonnegative")
     spec = _load_spec(args.spec)
     mac = mac_from_dict(spec)
     combined = mac.combined_system()
@@ -334,7 +344,7 @@ def _cmd_mac(args) -> int:
         "mi_user_s": mac_mi_user(mac, grid_size=args.grid),
         "eps_channel": eps_c,
         "phi_conditional": mac_phi_conditional_at(mac, eps_c).value,
-        "phi_joint": _rate_function_at(_system_geometry(combined), eps_c).value,
+        "phi_joint": channel_phi_at(combined, eps_c).value,
     }
     if args.n:
         report = mac_oracle(mac, args.n, args.seed, args.budget)
@@ -411,6 +421,8 @@ def main(argv=None) -> int:
         "mac": _cmd_mac,
     }
     try:
+        if args.grid < 3:
+            raise SpecError("grid", "need at least 3 grid points")
         return handlers[args.command](args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import IncompatibleSupport, InvalidTemperature, OutOfRange, SpecError
 from .tabulated import (
@@ -27,8 +26,20 @@ from .tabulated import (
     TabulatedFunction,
 )
 
+# Tolerances and the tilt window are relative to a family's largest energy.
 _DEGENERATE_SPAN = 1e-12   # energy ranges below this collapse to a point
+_POINT_SLACK = 1e-9        # a one-point energy range accepts eps this close
 _SLOPE_CAP = 1e5           # bisection window for tilt parameters
+_CELL_BUDGET = 1 << 22     # cells in one (tilts x inputs x outputs) temporary
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along axis without overflow; an all -inf slice gives -inf."""
+    a = np.asarray(a, dtype=float)
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - peak), axis=axis)) + np.squeeze(peak, axis=axis)
 
 
 def binary_entropy(x):
@@ -141,34 +152,126 @@ def source_shannon_entropy(source: SourceSpec, beta: Optional[float] = None) -> 
     return source.log_partition(b) + b * source.mean_energy(b)
 
 
-class EntropyPoint(NamedTuple):
+class PhiPoint(NamedTuple):
     value: float
     slope: float
 
 
-def _tilt_for_mean(energies: np.ndarray, weights_log: np.ndarray, targets: np.ndarray):
-    """Solve mean_energy(t) = target for each target by vectorised bisection.
+EntropyPoint = PhiPoint   # Sigma_S is the same Legendre dual
 
-    The tilted mean sum_i e_i * softmax(w_i - t e_i) is strictly decreasing
-    in t, so bisection over [-_SLOPE_CAP, _SLOPE_CAP] converges for targets
-    strictly inside the achievable range.
+
+class _TiltedFamily:
+    """zeta(t) = sum_y Q(y) log sum_x w(x) exp(-t E(x,y)) and its Legendre dual
+    phi(eps) = inf_t [zeta(t) + eps*t], the growth rate of configurations at
+    output-averaged energy eps.
+
+    The channel rate function takes w = M and Q the output law; the source
+    entropy Sigma_S is the same dual under counting measure with one output.
+    Cells with E = +inf or w = 0 are masked and outputs with Q(y) = 0 are
+    dropped.  Every method is vectorised over tilts, inputs and outputs.
     """
-    targets = np.asarray(targets, dtype=float)
-    lo = np.full(targets.shape, -_SLOPE_CAP)
-    hi = np.full(targets.shape, _SLOPE_CAP)
-    e = energies[None, :]
-    w = weights_log[None, :]
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        logits = w - mid[:, None] * e
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        mean = (probs * e).sum(axis=1)
-        too_high = mean > targets
-        lo = np.where(too_high, mid, lo)
-        hi = np.where(too_high, hi, mid)
-    return 0.5 * (lo + hi)
+
+    def __init__(self, log_w, energies, out_weights):
+        log_w = np.asarray(log_w, dtype=float)
+        q = np.asarray(out_weights, dtype=float)
+        used = q > 0.0
+        energies = np.asarray(energies, dtype=float)[:, used]
+        ok = np.isfinite(energies) & np.isfinite(log_w)[:, None]
+        empty = ~ok.any(axis=0)
+        if empty.any():
+            y = int(np.flatnonzero(used)[np.argmax(empty)])
+            raise IncompatibleSupport(f"output {y} has no compatible input letter")
+        self.q = q[used]
+        self.energies = np.where(ok, energies, 0.0)
+        self.log_w = np.where(ok, log_w[:, None], NEG_INF)
+        self.scale = float(np.abs(self.energies).max()) or 1.0
+        self.tol = _DEGENERATE_SPAN * self.scale
+        e_lo = np.where(ok, energies, np.inf).min(axis=0)
+        e_hi = np.where(ok, energies, -np.inf).max(axis=0)
+        self.eps_lo = float(e_lo @ self.q)
+        self.eps_hi = float(e_hi @ self.q)
+        # log mass of each output's lowest and highest level
+        self.lo_mass, self.hi_mass = (
+            float(logsumexp(np.where(level, self.log_w, NEG_INF), axis=0) @ self.q)
+            for level in (energies <= e_lo + self.tol, energies >= e_hi - self.tol))
+
+    def _chunked(self, fn, xs) -> np.ndarray:
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        step = max(1, _CELL_BUDGET // self.energies.size)
+        return np.concatenate([fn(xs[a:a + step]) for a in range(0, xs.size, step)] or [xs])
+
+    def _logits(self, ts: np.ndarray) -> np.ndarray:
+        return self.log_w - ts[:, None, None] * self.energies
+
+    def _mean(self, ts: np.ndarray) -> np.ndarray:
+        logits = self._logits(ts)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return ((p * self.energies).sum(axis=1) / p.sum(axis=1)) @ self.q
+
+    def log_mgf(self, ts) -> np.ndarray:
+        """zeta at each tilt."""
+        return self._chunked(lambda t: logsumexp(self._logits(t), axis=1) @ self.q, ts)
+
+    def mean(self, ts) -> np.ndarray:
+        """-zeta'(t): the output-averaged mean energy of each tilted law."""
+        return self._chunked(self._mean, ts)
+
+    def tilt(self, targets) -> np.ndarray:
+        """Solve mean(t) = target inside (eps_lo, eps_hi) by bisection: the mean
+        falls strictly in t, within +-_SLOPE_CAP per unit of the largest energy."""
+        cap = _SLOPE_CAP / self.scale
+
+        def bisect(goal):
+            lo = np.full(goal.shape, -cap)
+            hi = np.full(goal.shape, cap)
+            for _ in range(110):
+                mid = 0.5 * (lo + hi)
+                too_high = self._mean(mid) > goal
+                lo = np.where(too_high, mid, lo)
+                hi = np.where(too_high, hi, mid)
+            return 0.5 * (lo + hi)
+
+        return self._chunked(bisect, targets)
+
+    def _dual(self, eps: np.ndarray):
+        """phi and its slope at eps; at or beyond an end, that end's level."""
+        lo = eps <= self.eps_lo + self.tol
+        inner = ~lo & (eps < self.eps_hi - self.tol)
+        value = np.where(lo, self.lo_mass, self.hi_mass)
+        slope = np.where(lo, math.inf, -math.inf)
+        ts = self.tilt(eps[inner])
+        value[inner] = self.log_mgf(ts) + eps[inner] * ts
+        slope[inner] = ts
+        return value, slope
+
+    def at(self, eps: float) -> PhiPoint:
+        """phi(eps) with the minimising tilt as slope; NEG_INF if unreachable."""
+        if self.eps_hi - self.eps_lo <= self.tol:
+            if abs(eps - self.eps_lo) <= _POINT_SLACK * self.scale:
+                return PhiPoint(float(self.log_mgf(0.0)[0]), 0.0)
+            return PhiPoint(NEG_INF, math.nan)
+        if not self.eps_lo - self.tol <= eps <= self.eps_hi + self.tol:
+            return PhiPoint(NEG_INF, math.nan)
+        value, slope = self._dual(np.array([eps], dtype=float))
+        return PhiPoint(float(value[0]), float(slope[0]))
+
+    def table(self, x_min: float, x_max: float, grid_size: int) -> ConcaveFunction:
+        """phi on a uniform grid over [x_min, x_max], NEG_INF where unreachable."""
+        vals = np.full(grid_size, NEG_INF)
+        if x_max - x_min <= self.tol:
+            vals[0] = self.at(self.eps_lo).value
+            return ConcaveFunction(TabulatedFunction(x_min, x_min + 1.0, vals))
+        grid = np.linspace(x_min, x_max, grid_size)
+        inside = (grid >= self.eps_lo - self.tol) & (grid <= self.eps_hi + self.tol)
+        if not inside.any():
+            # reachable interval thinner than one grid cell
+            inside[np.argmin(np.abs(grid - 0.5 * (self.eps_lo + self.eps_hi)))] = True
+        vals[inside] = self._dual(grid[inside])[0]
+        return ConcaveFunction(TabulatedFunction(x_min, x_max, vals))
+
+
+def _source_family(source: SourceSpec) -> _TiltedFamily:
+    return _TiltedFamily(np.zeros(source.alphabet_size), source.hamiltonian[:, None], [1.0])
 
 
 def source_entropy_function(source: SourceSpec,
@@ -180,40 +283,12 @@ def source_entropy_function(source: SourceSpec,
     the log multiplicities of the extreme energy levels.  A source whose
     energies are all equal collapses to a single finite point at eps = 0.
     """
-    e = source.hamiltonian
-    e_max = float(e.max())
-    if e_max < _DEGENERATE_SPAN:
-        vals = np.full(grid_size, NEG_INF)
-        vals[0] = math.log(source.alphabet_size)
-        return ConcaveFunction(TabulatedFunction(0.0, 1.0, vals))
-    grid = np.linspace(0.0, e_max, grid_size)
-    vals = np.empty(grid_size)
-    zero_log = np.zeros(e.size)
-    ts = _tilt_for_mean(e, zero_log, grid[1:-1])
-    psi = logsumexp(-ts[:, None] * e[None, :], axis=1)
-    vals[1:-1] = ts * grid[1:-1] + psi
-    vals[0] = math.log(int((e < _DEGENERATE_SPAN).sum()))
-    vals[-1] = math.log(int((e > e_max - _DEGENERATE_SPAN).sum()))
-    return ConcaveFunction(TabulatedFunction(0.0, e_max, vals))
+    return _source_family(source).table(0.0, float(source.hamiltonian.max()), grid_size)
 
 
 def source_entropy_at(source: SourceSpec, epsilon: float) -> EntropyPoint:
     """Pointwise Sigma_S(eps) and its slope beta(eps), solved exactly."""
-    e = source.hamiltonian
-    e_max = float(e.max())
-    if e_max < _DEGENERATE_SPAN:
-        if abs(epsilon) < _DEGENERATE_SPAN:
-            return EntropyPoint(math.log(source.alphabet_size), math.nan)
-        return EntropyPoint(NEG_INF, math.nan)
-    if epsilon < -_DEGENERATE_SPAN or epsilon > e_max + _DEGENERATE_SPAN:
-        return EntropyPoint(NEG_INF, math.nan)
-    if epsilon < _DEGENERATE_SPAN:
-        return EntropyPoint(math.log(int((e < _DEGENERATE_SPAN).sum())), math.inf)
-    if epsilon > e_max - _DEGENERATE_SPAN:
-        return EntropyPoint(math.log(int((e > e_max - _DEGENERATE_SPAN).sum())), -math.inf)
-    t = float(_tilt_for_mean(e, np.zeros(e.size), np.array([epsilon]))[0])
-    psi = float(logsumexp(-t * e))
-    return EntropyPoint(t * epsilon + psi, t)
+    return _source_family(source).at(epsilon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +339,7 @@ class ChannelSpec:
     def transition_matrix(self, beta: Optional[float] = None) -> np.ndarray:
         b = self.beta if beta is None else beta
         logits = np.where(np.isfinite(self.hamiltonian), -b * self.hamiltonian, -np.inf)
-        norm = logsumexp(logits, axis=1, keepdims=True)
-        w = np.exp(logits - norm)
+        w = np.exp(logits - logsumexp(logits, axis=1)[:, None])
         w[~np.isfinite(self.hamiltonian)] = 0.0
         return w
 
@@ -364,199 +438,25 @@ def _log_m(ensemble: EnsembleSpec) -> np.ndarray:
     return np.where(m > 0.0, np.log(np.where(m > 0.0, m, 1.0)), -np.inf)
 
 
-def _weighted_log_mgf(log_m: np.ndarray, energies: np.ndarray,
-                      out_weights: np.ndarray, t: float) -> float:
-    """sum_y Q(y) * log sum_x M(x) exp(-t E(x,y)); +inf energies drop out."""
-    total = 0.0
-    for y in range(energies.shape[1]):
-        if out_weights[y] <= 0.0:
-            continue
-        col = energies[:, y]
-        ok = np.isfinite(col) & np.isfinite(log_m)
-        if not ok.any():
-            raise IncompatibleSupport(f"output {y} has no compatible input letter")
-        total += out_weights[y] * float(logsumexp(log_m[ok] - t * col[ok]))
-    return total
-
-
-def _weighted_log_mgf_vec(log_m: np.ndarray, energies: np.ndarray,
-                          out_weights: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Vectorised _weighted_log_mgf over an array of tilts."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    out = np.zeros(ts.shape)
-    for y in range(energies.shape[1]):
-        if out_weights[y] <= 0.0:
-            continue
-        col = energies[:, y]
-        ok = np.isfinite(col) & np.isfinite(log_m)
-        if not ok.any():
-            raise IncompatibleSupport(f"output {y} has no compatible input letter")
-        logits = log_m[ok][None, :] - ts[:, None] * col[ok][None, :]
-        peak = logits.max(axis=1)
-        out += out_weights[y] * (peak + np.log(np.exp(logits - peak[:, None]).sum(axis=1)))
-    return out
-
-
-def _weighted_tilted_mean(log_m: np.ndarray, energies: np.ndarray,
-                          out_weights: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Mean energy under the t-tilted ensemble, averaged over outputs."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    out = np.zeros(ts.shape)
-    for y in range(energies.shape[1]):
-        if out_weights[y] <= 0.0:
-            continue
-        col = energies[:, y]
-        ok = np.isfinite(col) & np.isfinite(log_m)
-        if not ok.any():
-            raise IncompatibleSupport(f"output {y} has no compatible input letter")
-        e = col[ok]
-        logits = log_m[ok][None, :] - ts[:, None] * e[None, :]
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        out += out_weights[y] * (p * e[None, :]).sum(axis=1)
-    return out
-
-
-def _energy_extremes(log_m: np.ndarray, energies: np.ndarray, out_weights: np.ndarray):
-    """Q-averaged min/max achievable energy and the log mass attaining them."""
-    lo = hi = 0.0
-    lo_mass = hi_mass = 0.0
-    for y in range(energies.shape[1]):
-        if out_weights[y] <= 0.0:
-            continue
-        col = energies[:, y]
-        ok = np.isfinite(col) & np.isfinite(log_m)
-        if not ok.any():
-            raise IncompatibleSupport(f"output {y} has no compatible input letter")
-        e = col[ok]
-        w = log_m[ok]
-        e_lo, e_hi = float(e.min()), float(e.max())
-        lo += out_weights[y] * e_lo
-        hi += out_weights[y] * e_hi
-        lo_mass += out_weights[y] * float(logsumexp(w[e <= e_lo + _DEGENERATE_SPAN]))
-        hi_mass += out_weights[y] * float(logsumexp(w[e >= e_hi - _DEGENERATE_SPAN]))
-    return lo, hi, lo_mass, hi_mass
-
-
-class PhiPoint(NamedTuple):
-    value: float
-    slope: float
-
-
-class _RateGeometry(NamedTuple):
-    log_m: np.ndarray
-    energies: np.ndarray
-    out_weights: np.ndarray
-    eps_lo: float
-    eps_hi: float
-    lo_mass: float
-    hi_mass: float
-
-
-def _rate_geometry(log_m, energies, out_weights) -> _RateGeometry:
-    lo, hi, lo_mass, hi_mass = _energy_extremes(log_m, energies, out_weights)
-    return _RateGeometry(log_m, energies, out_weights, lo, hi, lo_mass, hi_mass)
-
-
-def _rate_function_at(geom: _RateGeometry, epsilon: float) -> PhiPoint:
-    """phi(eps) = inf_t [zeta(t) + eps*t] with the minimising tilt as slope."""
-    span = geom.eps_hi - geom.eps_lo
-    slack = _DEGENERATE_SPAN * max(1.0, abs(geom.eps_hi), abs(geom.eps_lo))
-    if span < _DEGENERATE_SPAN:
-        if abs(epsilon - geom.eps_lo) <= max(slack, 1e-9):
-            return PhiPoint(_weighted_log_mgf(geom.log_m, geom.energies,
-                                              geom.out_weights, 0.0), 0.0)
-        return PhiPoint(NEG_INF, math.nan)
-    if epsilon < geom.eps_lo - slack or epsilon > geom.eps_hi + slack:
-        return PhiPoint(NEG_INF, math.nan)
-    if epsilon <= geom.eps_lo + slack:
-        return PhiPoint(geom.lo_mass, math.inf)
-    if epsilon >= geom.eps_hi - slack:
-        return PhiPoint(geom.hi_mass, -math.inf)
-    lo_t, hi_t = -_SLOPE_CAP, _SLOPE_CAP
-    for _ in range(200):
-        mid = 0.5 * (lo_t + hi_t)
-        mean = float(_weighted_tilted_mean(geom.log_m, geom.energies,
-                                           geom.out_weights, np.array([mid]))[0])
-        if mean > epsilon:
-            lo_t = mid
-        else:
-            hi_t = mid
-        if hi_t - lo_t <= 1e-13 * max(1.0, abs(lo_t) + abs(hi_t)):
-            break
-    t = 0.5 * (lo_t + hi_t)
-    return PhiPoint(_weighted_log_mgf(geom.log_m, geom.energies,
-                                      geom.out_weights, t) + epsilon * t, t)
-
-
-def _rate_function_table(geom: _RateGeometry, x_min: float, x_max: float,
-                         grid_size: int) -> ConcaveFunction:
-    if x_max - x_min < _DEGENERATE_SPAN:
-        vals = np.full(grid_size, NEG_INF)
-        vals[0] = _rate_function_at(geom, geom.eps_lo).value
-        return ConcaveFunction(TabulatedFunction(x_min, x_min + 1.0, vals))
-    grid = np.linspace(x_min, x_max, grid_size)
-    vals = np.full(grid_size, NEG_INF)
-    inside = (grid >= geom.eps_lo - _DEGENERATE_SPAN) & (grid <= geom.eps_hi + _DEGENERATE_SPAN)
-    idx = np.flatnonzero(inside)
-    if idx.size == 0:
-        # reachable interval thinner than one grid cell
-        k = int(np.argmin(np.abs(grid - 0.5 * (geom.eps_lo + geom.eps_hi))))
-        idx = np.array([k])
-    interior = []
-    for k in idx:
-        eps = grid[k]
-        slack = _DEGENERATE_SPAN * max(1.0, abs(geom.eps_hi))
-        if eps <= geom.eps_lo + slack:
-            vals[k] = geom.lo_mass
-        elif eps >= geom.eps_hi - slack:
-            vals[k] = geom.hi_mass
-        else:
-            interior.append(k)
-    if interior:
-        interior = np.asarray(interior)
-        ts = _tilt_vector(geom, grid[interior])
-        vals[interior] = _weighted_log_mgf_vec(geom.log_m, geom.energies,
-                                               geom.out_weights, ts) + grid[interior] * ts
-    return ConcaveFunction(TabulatedFunction(x_min, x_max, vals))
-
-
-def _tilt_vector(geom: _RateGeometry, targets: np.ndarray) -> np.ndarray:
-    lo = np.full(targets.shape, -_SLOPE_CAP)
-    hi = np.full(targets.shape, _SLOPE_CAP)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        mean = _weighted_tilted_mean(geom.log_m, geom.energies, geom.out_weights, mid)
-        too_high = mean > targets
-        lo = np.where(too_high, mid, lo)
-        hi = np.where(too_high, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _system_geometry(system: SystemSpec, beta: Optional[float] = None) -> _RateGeometry:
-    sys2 = system if beta is None else system.retempered(beta)
-    q = output_marginal(sys2.ensemble, sys2.channel)
-    return _rate_geometry(_log_m(sys2.ensemble), sys2.channel.hamiltonian, q)
+def _system_family(system: SystemSpec) -> _TiltedFamily:
+    q = output_marginal(system.ensemble, system.channel)
+    return _TiltedFamily(_log_m(system.ensemble), system.channel.hamiltonian, q)
 
 
 def zeta(system: SystemSpec, t: float) -> float:
     """Output-averaged per-letter log MGF of the channel energy under M."""
-    geom = _system_geometry(system)
-    return _weighted_log_mgf(geom.log_m, geom.energies, geom.out_weights, t)
+    return float(_system_family(system).log_mgf(t)[0])
 
 
 def zeta_prime_neg(system: SystemSpec, beta: Optional[float] = None) -> float:
     """-d zeta/dt at t = beta: the dominant per-letter channel energy."""
     b = system.beta if beta is None else beta
-    geom = _system_geometry(system)
-    return float(_weighted_tilted_mean(geom.log_m, geom.energies,
-                                       geom.out_weights, np.array([b]))[0])
+    return float(_system_family(system).mean(b)[0])
 
 
 def channel_phi_at(system: SystemSpec, epsilon: float) -> PhiPoint:
     """Rate function of the channel energy against a typical output, at eps."""
-    return _rate_function_at(_system_geometry(system), epsilon)
+    return _system_family(system).at(epsilon)
 
 
 def channel_phi(system: SystemSpec,
@@ -566,16 +466,14 @@ def channel_phi(system: SystemSpec,
     phi <= 0 everywhere, with maximum 0 at the unconstrained mean energy;
     energies unreachable under the ensemble get NEG_INF.
     """
-    geom = _system_geometry(system)
     e = system.channel.hamiltonian
-    e_max = float(e[np.isfinite(e)].max())
-    return _rate_function_table(geom, 0.0, e_max, grid_size)
+    return _system_family(system).table(0.0, float(e[np.isfinite(e)].max()), grid_size)
 
 
 def channel_energy_range(system: SystemSpec):
     """(eps_lo, eps_hi) achievable per-letter channel energies under M."""
-    geom = _system_geometry(system)
-    return geom.eps_lo, geom.eps_hi
+    family = _system_family(system)
+    return family.eps_lo, family.eps_hi
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import logsumexp
 
 from .errors import ImpossibleOutput, TooLarge
-from .models import SystemSpec, source_shannon_entropy
+from .models import SystemSpec, logsumexp, source_shannon_entropy
 from .tabulated import NEG_INF
 
 DEFAULT_ENUM_BUDGET = 1 << 26   # (message, output) pairs
@@ -231,20 +230,6 @@ def _output_cascade(values: np.ndarray, per_letter: np.ndarray,
     return values
 
 
-def _logsumexp_rows(arr: np.ndarray) -> np.ndarray:
-    """logsumexp over axis 0, tolerating all-NEG_INF columns."""
-    peak = arr.max(axis=0)
-    ok = np.isfinite(peak)
-    if ok.all():
-        return peak + np.log(np.exp(arr - peak[None, :]).sum(axis=0))
-    out = np.full(arr.shape[1], NEG_INF)
-    if ok.any():
-        with np.errstate(invalid="ignore"):
-            shifted = np.exp(arr[:, ok] - peak[ok][None, :])
-        out[ok] = peak[ok] + np.log(shifted.sum(axis=0))
-    return out
-
-
 def exact_mi(code: CodeInstance, budget: Optional[int] = None) -> OracleReport:
     """Mutual information and posterior statistics by full enumeration."""
     budget = DEFAULT_ENUM_BUDGET if budget is None else budget
@@ -265,7 +250,7 @@ def exact_mi(code: CodeInstance, budget: Optional[int] = None) -> OracleReport:
     for a in range(0, num_s, chunk):
         letters = code.codebook[a:a + chunk]
         joint = _output_cascade(log_prior[a:a + chunk, None], log_w, letters)
-        log_py = np.logaddexp(log_py, _logsumexp_rows(joint))
+        log_py = np.logaddexp(log_py, logsumexp(joint, axis=0))
         if keep:
             blocks.append(joint)
     py_mask = np.isfinite(log_py)

@@ -20,9 +20,8 @@ import numpy as np
 from .errors import DegenerateFunction, PhaseMismatch
 from .models import (
     SystemSpec,
-    _rate_function_at,
-    _system_geometry,
     channel_phi,
+    channel_phi_at,
     source_entropy_at,
     source_entropy_function,
     source_shannon_entropy,
@@ -230,7 +229,7 @@ def analyze(system: SystemSpec, beta: Optional[float] = None,
         return PhaseReport(Phase.GLASSY, eps0_grid, eps_star, share,
                            h_source, h_source, sigma_at)
 
-    mi = -lam * _rate_function_at(_system_geometry(sys2), eps_channel).value
+    mi = -lam * channel_phi_at(sys2, eps_channel).value
     mi = min(max(mi, 0.0), h_source) + 0.0   # +0.0 normalizes a signed zero
     return PhaseReport(Phase.PARAMAGNETIC, eps0_grid, eps_source, eps_channel,
                        mi, h_source, sigma_at)
@@ -279,5 +278,5 @@ def mi_rate_alternative(system: SystemSpec, beta: Optional[float] = None,
     psi_s = sys2.source.log_partition()
     sigma_star = source_entropy_at(sys2.source, eps_star).value
     share = ((1.0 + lam) * report.epsilon0 - eps_star) / lam
-    phi_share = _rate_function_at(_system_geometry(sys2), share).value
+    phi_share = channel_phi_at(sys2, share).value
     return b * eps_star + psi_s - sigma_star - lam * phi_share

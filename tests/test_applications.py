@@ -321,3 +321,16 @@ class TestChannelMutualInformation:
     def test_zero_at_point_mass(self):
         w = bsc_channel(0.11).transition_matrix()
         assert channel_mutual_information(np.array([1.0, 0.0]), w) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSecrecyCapacityBracket:
+    def test_capacity_never_exceeds_gamma(self):
+        # c_s <= Gamma(c_s) <= Gamma(0) on random ternary channels
+        for seed in range(4):
+            rng = np.random.default_rng([3, seed])
+            spec = WiretapSpec(ChannelSpec(rng.uniform(0.0, 3.0, size=(3, 3)), 1.0),
+                               ChannelSpec(rng.uniform(0.0, 3.0, size=(3, 3)), 1.0),
+                               Fraction(1), LN2)
+            c_s = secrecy_capacity(spec, resolution=60)
+            assert c_s <= gamma(spec, 0.0, resolution=60).value, seed
+            assert gamma(spec, c_s, resolution=60).value >= c_s, seed

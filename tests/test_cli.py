@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -288,3 +290,45 @@ class TestDeterminismAcrossCommands:
             assert run(args + ["--format", fmt, "--out", str(a)]) == 0
             assert run(args + ["--format", fmt, "--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
+
+
+WIRETAP_4_SPEC = {
+    "wiretap": {
+        "main": {"channel": {"hamiltonian": [[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0],
+                                             [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]],
+                             "beta": 1.0}},
+        "tap": {"channel": {"hamiltonian": [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0],
+                                            [2.0, 1.0, 0.0, 1.0], [3.0, 2.0, 1.0, 0.0]],
+                            "beta": 1.0}},
+        "lambda": {"num": 1, "den": 1},
+        "source_entropy": 0.5,
+    }
+}
+
+
+class TestDocumentedExitCodes:
+    @pytest.mark.parametrize("args, spec, field", [
+        pytest.param(["analyze", "--grid", "2"], BSC_SPEC, "grid", id="grid-2"),
+        pytest.param(["simulate", "--n", "0"], BSC_SPEC, "'n'", id="n-0"),
+        pytest.param(["simulate", "--n", "4", "--trials", "50"], BSC_SPEC, "trials",
+                     id="trials-50"),
+        pytest.param(["wiretap", "--resolution", "10"], WIRETAP_4_SPEC, "simplex grid",
+                     id="wiretap-4-inputs"),
+        pytest.param(["wiretap", "--resolution", "0"], WIRETAP_SPEC, "resolution",
+                     id="resolution-0"),
+        pytest.param(["mac", "--n", "-1"], MAC_SPEC, "'n'", id="mac-n-negative"),
+    ])
+    def test_bad_size_exits_2(self, tmp_path, capsys, args, spec, field):
+        path = write_spec(tmp_path, spec)
+        assert run(args + ["--spec", path, "--out", "-"]) == 2
+        assert field in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import jscthermo
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(jscthermo.__file__))))
+    code = "import sys, jscthermo.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -379,3 +379,46 @@ class TestJsonIngestion:
         })
         w = system.channel.transition_matrix()
         np.testing.assert_allclose(w, np.eye(2))
+
+
+class TestTiltedFamily:
+    LOG_W = np.array([math.log(0.5), -math.inf, math.log(0.3), math.log(0.2)])  # input 1: no mass
+    ENERGIES = np.array([[0.0, 1.0, np.inf, 2.0],
+                         [5.0, 0.0, 1.0, 9.0],
+                         [1.0, np.inf, 0.0, 0.5],
+                         [2.0, 0.5, 1.5, 0.0]])
+    Q = np.array([0.4, 0.35, 0.25, 0.0])                # output 3 never occurs
+
+    def loop_reference(self, t):
+        """Per-output sums of zeta(t) and its tilted mean energy."""
+        zeta_t = mean = 0.0
+        for y in range(self.ENERGIES.shape[1]):
+            if self.Q[y] == 0.0:
+                continue
+            ok = np.isfinite(self.ENERGIES[:, y]) & np.isfinite(self.LOG_W)
+            e = self.ENERGIES[ok, y]
+            logits = self.LOG_W[ok] - t * e
+            z = math.log(sum(math.exp(v) for v in logits))
+            zeta_t += self.Q[y] * z
+            mean += self.Q[y] * float(np.exp(logits - z) @ e)
+        return zeta_t, mean
+
+    def test_matches_per_output_loop(self):
+        from jscthermo.models import _TiltedFamily
+        family = _TiltedFamily(self.LOG_W, self.ENERGIES, self.Q)
+        ts = np.array([-3.0, -0.5, 0.0, 0.7, 4.0])
+        ref = np.array([self.loop_reference(t) for t in ts])
+        np.testing.assert_allclose(family.log_mgf(ts), ref[:, 0], rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(family.mean(ts), ref[:, 1], rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(family.tilt(ref[:, 1]), ts, rtol=1e-9, atol=1e-12)
+        # input 1's zero energy at output 1 carries no mass and does not count
+        assert (family.eps_lo, family.eps_hi) == pytest.approx(
+            (0.35 * 0.5, 0.4 * 2.0 + 0.35 * 1.0 + 0.25 * 1.5))
+
+    def test_output_without_compatible_input(self):
+        from jscthermo import IncompatibleSupport
+        from jscthermo.models import _TiltedFamily
+        energies = self.ENERGIES.copy()
+        energies[[0, 2, 3], 2] = np.inf
+        with pytest.raises(IncompatibleSupport, match="output 2"):
+            _TiltedFamily(self.LOG_W, energies, self.Q)

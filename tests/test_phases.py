@@ -281,3 +281,33 @@ class TestPhaseTransitionSweep:
                 hi = mid
         p_c = 0.5 * (lo + hi)
         assert ps[i - 1] <= p_c <= ps[i]
+
+
+SCALED_SYSTEMS = {
+    # name: (source energies, channel energies, lambda), all at beta = 1
+    "paramagnetic-fair": ([0.0, 0.0], [[0.0, 2.0], [2.0, 0.0]], Fraction(1, 2)),
+    "paramagnetic-biased": ([0.0, 0.8], [[0.0, 1.5], [1.5, 0.0]], Fraction(1, 2)),
+    "ordered": ([0.0, 1.2], [[0.0, 3.0], [3.0, 0.0]], Fraction(2)),
+    "circulant": ([0.0, 0.3, 0.5], [[0.0, 1.0, 2.0], [2.0, 0.0, 1.0], [1.0, 2.0, 0.0]],
+                  Fraction(1, 3)),
+}
+
+
+class TestEnergyScaleInvariance:
+    @pytest.mark.parametrize("name", sorted(SCALED_SYSTEMS))
+    def test_report_invariant_under_energy_rescaling(self, name):
+        # (E, beta) -> (cE, beta/c) leaves every Boltzmann weight unchanged
+        src, chn, lam = SCALED_SYSTEMS[name]
+
+        def scaled(c):
+            return SystemSpec(SourceSpec(c * np.array(src), 1.0 / c),
+                              ChannelSpec(c * np.array(chn), 1.0 / c),
+                              EnsembleSpec(np.full(len(chn), 1.0 / len(chn))), lam)
+
+        ref = analyze(scaled(1.0))
+        for c in (1e-6, 1e3, 1e6):
+            rep = analyze(scaled(c))
+            assert rep.phase is ref.phase, c
+            assert rep.mi_rate == pytest.approx(ref.mi_rate, rel=1e-12, abs=1e-12)
+            assert rep.sigma_at_eps0 == pytest.approx(ref.sigma_at_eps0, rel=1e-12, abs=1e-12)
+            assert rep.epsilon0 == pytest.approx(c * ref.epsilon0, rel=1e-12)
