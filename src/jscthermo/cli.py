@@ -303,6 +303,8 @@ def _eavesdrop_system(block: dict, wt, lam) -> Optional[SystemSpec]:
 def _cmd_wiretap(args) -> int:
     if args.resolution < 1:
         raise SpecError("resolution", "need at least 1 simplex step")
+    if args.steps < 2:
+        raise SpecError("steps", "the Gamma table needs at least 2 rates")
     spec = _load_spec(args.spec)
     wt = wiretap_from_dict(spec)
     if wt.main_channel.in_size > 3:
@@ -313,9 +315,8 @@ def _cmd_wiretap(args) -> int:
     g0 = gamma(wt, 0.0, resolution)
     cap = tap_capacity(wt, resolution)
     r_max = max_main_rate(wt, resolution)
-    steps = max(args.steps or 20, 2)
     table = []
-    for rate in np.linspace(0.0, r_max, steps):
+    for rate in np.linspace(0.0, r_max, args.steps):
         table.append({"rate": float(rate), "gamma": gamma(wt, float(rate), resolution).value})
     payload = {
         "command": "wiretap", "c_s": c_s, "gamma_zero": g0.value,

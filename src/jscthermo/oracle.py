@@ -24,6 +24,7 @@ from .tabulated import NEG_INF
 DEFAULT_ENUM_BUDGET = 1 << 26   # (message, output) pairs
 _CHUNK_CELLS = 1 << 22          # matrix cells processed per chunk
 _MC_STREAM_BASE = 1 << 63       # Monte Carlo streams live above codeword streams
+_MC_BATCH_CELLS = 1 << 17       # (trial, message) cells scored per batch
 
 
 def derive_seed(base: int, index: int) -> int:
@@ -242,35 +243,31 @@ def exact_mi(code: CodeInstance, budget: Optional[int] = None) -> OracleReport:
     log_w = _log_w(code)
     log_prior = _message_log_prior(code)
     chunk = max(1, _CHUNK_CELLS // num_y)
-    keep = num_s * num_y <= (1 << 24)   # reuse pass-1 blocks when they fit
+    floor = np.finfo(float).min
 
-    # pass 1: output marginal
+    # one pass over message chunks; with e = exp(joint - peak) per output y,
+    # sum e gives P(y), sum e^2 gives sum_s P(s,y)^2 and sum e*joint gives
+    # sum_s P(s,y) ln P(s,y)
     log_py = np.full(num_y, NEG_INF)
-    blocks = []
+    log_py_sq = np.full(num_y, NEG_INF)
+    mean_log_joint = 0.0
     for a in range(0, num_s, chunk):
         letters = code.codebook[a:a + chunk]
         joint = _output_cascade(log_prior[a:a + chunk, None], log_w, letters)
-        log_py = np.logaddexp(log_py, logsumexp(joint, axis=0))
-        if keep:
-            blocks.append(joint)
+        peak = np.max(joint, axis=0)
+        peak[~np.isfinite(peak)] = 0.0
+        e = np.exp(joint - peak)
+        with np.errstate(divide="ignore"):
+            log_py = np.logaddexp(log_py, np.log(np.sum(e, axis=0)) + peak)
+            log_py_sq = np.logaddexp(log_py_sq,
+                                     np.log(np.einsum("sy,sy->y", e, e)) + 2.0 * peak)
+        # e = 0 wherever joint = -inf; the finite floor keeps e * joint at 0 there
+        np.maximum(joint, floor, out=joint)
+        mean_log_joint += float(np.dot(np.exp(peak), np.einsum("sy,sy->y", e, joint)))
     py_mask = np.isfinite(log_py)
     h_y = float(-np.sum(np.exp(log_py[py_mask]) * log_py[py_mask]))
-
-    # pass 2: mean log-joint (for H(S|Y)) and the truth-mass of the posterior
-    mean_log_joint = 0.0
-    z_c_fraction = 0.0
-    for i, a in enumerate(range(0, num_s, chunk)):
-        if keep:
-            joint = blocks[i]
-        else:
-            letters = code.codebook[a:a + chunk]
-            joint = _output_cascade(log_prior[a:a + chunk, None], log_w, letters)
-        p_joint = np.exp(joint)
-        nonzero = p_joint > 0.0
-        with np.errstate(invalid="ignore"):
-            mean_log_joint += float(np.where(nonzero, p_joint * joint, 0.0).sum())
-            z_c_fraction += float(
-                np.where(nonzero, np.exp(2.0 * joint - log_py[None, :]), 0.0).sum())
+    # truth mass: sum_y P(y) sum_s post(s|y)^2 = sum_y sum_s P(s,y)^2 / P(y)
+    z_c_fraction = float(np.sum(np.exp(log_py_sq[py_mask] - log_py[py_mask])))
     # H(S|Y) = -E[ln P(S,Y)] - H(Y), both taken under the exact joint
     h_s_given_y_total = -mean_log_joint - h_y
 
@@ -300,49 +297,88 @@ def exact_mi(code: CodeInstance, budget: Optional[int] = None) -> OracleReport:
     )
 
 
+def _likelihood_tables(code: CodeInstance, log_w: np.ndarray) -> list:
+    """Log-likelihood tables over consecutive coordinate blocks of the code.
+
+    Returns (start, size, table) triples; table[v, s] is the sum over the block's
+    coordinates i of ln W(y_i | x_i(s)), where v numbers the block's output
+    letters most-significant first.  Blocks are as few as fit in
+    max(_CHUNK_CELLS, |Y| * n * num_messages) cells, one coordinate each at
+    worst.
+    """
+    num_s, n = code.codebook.shape
+    out_size = log_w.shape[1]
+    cap = max(_CHUNK_CELLS, out_size * n * num_s) // num_s   # table rows in all
+    for count in range(1, n + 1):
+        sizes = [(n + count - 1 - k) // count for k in range(count)]
+        if sum(out_size ** size for size in sizes) <= cap:
+            break
+    tables, start = [], 0
+    for size in sizes:
+        block = _output_cascade(np.zeros((num_s, 1)), log_w, code.codebook[:, start:start + size])
+        tables.append((start, size, np.ascontiguousarray(block.T)))
+        start += size
+    return tables
+
+
 def mc_mi(code: CodeInstance, trials: int, seed: int) -> OracleReport:
     """Monte Carlo estimate of the exact_mi quantities.
 
     Each trial draws (s0, y) from the true joint law on its own counter
     stream and scores -ln posterior(s0 | y), an unbiased sample of the total
-    conditional entropy.
+    conditional entropy.  Trials are scored in batches, each row on its own,
+    so the result does not depend on the batch size.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
     src = code.system.source
+    channel = code.system.channel
     cum_src = np.cumsum(src.probabilities())
     cum_src[-1] = 1.0
-    w = code.system.channel.transition_matrix()
-    cum_w = np.cumsum(w, axis=1)
+    cum_w = np.cumsum(channel.transition_matrix(), axis=1)
     cum_w[:, -1] = 1.0
     log_w = _log_w(code)
     log_prior = _message_log_prior(code)
     e_src = _message_source_energy(code)
-    e_c = code.system.channel.hamiltonian
+    # W = exp(-beta E) / Z_x, so a message's channel energy given y is
+    # -(ln W(y | x(s)) + sum_i ln Z_{x_i(s)}) / beta: the likelihood tables
+    # serve for both
+    log_z = logsumexp(-channel.beta * channel.hamiltonian, axis=1)
+    msg_log_z = log_z[code.codebook].sum(axis=1)
+    tables = _likelihood_tables(code, log_w)
+    floor = np.finfo(float).min
 
     k = src.alphabet_size
     powers = k ** np.arange(code.N - 1, -1, -1, dtype=np.int64)
+    out_powers = channel.out_size ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
+    batch = max(1, _MC_BATCH_CELLS // code.num_messages)
     samples = np.empty(trials)
     split_src = np.empty(trials)
     split_chn = np.empty(trials)
     truth_mass = np.empty(trials)
-    for t in range(trials):
-        u = _uniforms(seed, _MC_STREAM_BASE + t, code.N + code.n)
-        s_digits = _sample_letters(cum_src, u[:code.N])
-        idx = int(np.dot(s_digits, powers))
-        x = code.codebook[idx]
-        y = np.array([_sample_letters(cum_w[x[i]], u[code.N + i:code.N + i + 1])[0]
-                      for i in range(code.n)], dtype=np.int64)
-        loglik = log_w[code.codebook, y[None, :]].sum(axis=1)
-        logits = log_prior + loglik
-        norm = float(logsumexp(logits))
-        samples[t] = norm - float(logits[idx])
-        post = np.exp(logits - norm)
-        truth_mass[t] = post[idx]
-        ok = post > 0.0
-        split_src[t] = float(np.dot(post[ok], e_src[ok]))
-        e_chn = e_c[code.codebook, y[None, :]].sum(axis=1)
-        split_chn[t] = float(np.dot(post[ok], e_chn[ok]))
+    for a in range(0, trials, batch):
+        stop = min(a + batch, trials)
+        u = np.stack([_uniforms(seed, _MC_STREAM_BASE + t, code.N + code.n)
+                      for t in range(a, stop)])
+        # counting cumulative weights <= u is searchsorted(side="right")
+        idx = (cum_src <= u[:, :code.N, None]).sum(axis=-1) @ powers
+        y = (cum_w[code.codebook[idx]] <= u[:, code.N:, None]).sum(axis=-1)
+        loglik = np.zeros((stop - a, code.num_messages))
+        for start, size, table in tables:
+            v = y[:, start:start + size] @ out_powers[code.n - size:]
+            loglik += table[v]
+        logits = loglik + log_prior
+        norm = logsumexp(logits, axis=1)
+        rows = np.arange(stop - a)
+        samples[a:stop] = norm - logits[rows, idx]
+        post = np.exp(logits - norm[:, None])
+        truth_mass[a:stop] = post[rows, idx]
+        split_src[a:stop] = np.einsum("ts,s->t", post, e_src)
+        # minus the channel energy times beta; post = 0 wherever it is -inf,
+        # and the finite floor keeps post * (-inf) at 0 there
+        loglik += msg_log_z
+        np.maximum(loglik, floor, out=loglik)
+        split_chn[a:stop] = -np.einsum("ts,ts->t", post, loglik) / channel.beta
 
     h_s = source_shannon_entropy(src)
     h_sy = float(samples.mean()) / code.N

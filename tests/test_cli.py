@@ -317,6 +317,8 @@ class TestDocumentedExitCodes:
         pytest.param(["wiretap", "--resolution", "0"], WIRETAP_SPEC, "resolution",
                      id="resolution-0"),
         pytest.param(["mac", "--n", "-1"], MAC_SPEC, "'n'", id="mac-n-negative"),
+        pytest.param(["wiretap", "--steps", "0"], WIRETAP_SPEC, "steps", id="steps-0"),
+        pytest.param(["wiretap", "--steps", "-3"], WIRETAP_SPEC, "steps", id="steps-negative"),
     ])
     def test_bad_size_exits_2(self, tmp_path, capsys, args, spec, field):
         path = write_spec(tmp_path, spec)

@@ -1,6 +1,8 @@
 """Finite-size codebook oracle: determinism, exactness, Monte Carlo."""
 
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +26,13 @@ from jscthermo import (
     partition_split,
     posterior,
     posterior_energy_split,
+    source_shannon_entropy,
 )
-from jscthermo.oracle import _log_w, _message_log_prior, _output_cascade
+from jscthermo import oracle
+from jscthermo.models import logsumexp
+from jscthermo.oracle import (_CHUNK_CELLS, _MC_STREAM_BASE, _log_w, _message_log_prior,
+                              _message_source_energy, _output_cascade, _sample_letters,
+                              _uniforms)
 
 
 def bsc_system(p, lam=1, m=0.5, source_energies=None):
@@ -40,6 +47,13 @@ def noiseless_system(lam=2):
     channel = ChannelSpec(np.array([[0.0, np.inf], [np.inf, 0.0]]), 1.0)
     return SystemSpec(SourceSpec(np.zeros(2), 1.0), channel,
                       EnsembleSpec(np.array([0.5, 0.5])), Fraction(lam))
+
+
+def erasure_system(lam=1):
+    """Binary input, output 0 / erased / 1; E = +inf for the crossed transitions."""
+    channel = ChannelSpec(np.array([[0.0, 1.0, np.inf], [np.inf, 1.0, 0.0]]), 1.0)
+    return SystemSpec(SourceSpec(np.array([0.0, 0.7]), 1.0), channel,
+                      EnsembleSpec(np.array([0.4, 0.6])), Fraction(lam))
 
 
 INJECTIVE_SEED = 0   # draw_code(noiseless_system(), N=3, seed=0) is injective
@@ -178,23 +192,30 @@ class TestExactMi:
         assert report.h_s - report.h_s_given_y == pytest.approx(
             report.mi_per_symbol, abs=1e-12)
 
-    def test_matches_direct_posterior_enumeration(self):
-        code = draw_code(bsc_system(0.2), 6, seed=7)
+    @pytest.mark.parametrize("system", [bsc_system(0.2), erasure_system()],
+                             ids=["bsc", "erasure"])
+    def test_matches_direct_posterior_enumeration(self, system):
+        code = draw_code(system, 6, seed=7)
         report = exact_mi(code)
         joint = _output_cascade(_message_log_prior(code)[:, None],
                                 _log_w(code), code.codebook)
         p_y = np.exp(joint).sum(axis=0)
         h_sy = 0.0
         e_chn = 0.0
+        z_c = 0.0
         for y_idx in range(joint.shape[1]):
+            if p_y[y_idx] == 0.0:
+                continue
             post = np.exp(joint[:, y_idx]) / p_y[y_idx]
             ok = post > 0.0
             h_sy += p_y[y_idx] * (-np.sum(post[ok] * np.log(post[ok])))
-            y = np.array(message_digits(2, code.n, y_idx))
+            z_c += p_y[y_idx] * np.sum(post ** 2)
+            y = np.array(message_digits(system.channel.out_size, code.n, y_idx))
             src_e, chn_e = posterior_energy_split(code, y)
             e_chn += p_y[y_idx] * chn_e
         assert report.h_s_given_y == pytest.approx(h_sy / code.N, abs=1e-12)
         assert report.energy_split_channel == pytest.approx(e_chn, abs=1e-12)
+        assert report.z_c_fraction == pytest.approx(z_c, abs=1e-12)
 
     def test_budget_guard_suggests_monte_carlo(self):
         code = draw_code(bsc_system(0.2), 8, seed=0)
@@ -221,7 +242,83 @@ class TestPosteriorEnergySplit:
         assert abs(agg.energy_split_channel_mean - p) < 0.02
 
 
+def mc_mi_per_trial(code, trials, seed):
+    """mc_mi scored one trial at a time over every message, as a reference."""
+    src = code.system.source
+    cum_src = np.cumsum(src.probabilities())
+    cum_src[-1] = 1.0
+    w = code.system.channel.transition_matrix()
+    cum_w = np.cumsum(w, axis=1)
+    cum_w[:, -1] = 1.0
+    log_w = _log_w(code)
+    log_prior = _message_log_prior(code)
+    e_src = _message_source_energy(code)
+    e_c = code.system.channel.hamiltonian
+
+    k = src.alphabet_size
+    powers = k ** np.arange(code.N - 1, -1, -1, dtype=np.int64)
+    samples = np.empty(trials)
+    split_src = np.empty(trials)
+    split_chn = np.empty(trials)
+    truth_mass = np.empty(trials)
+    for t in range(trials):
+        u = _uniforms(seed, _MC_STREAM_BASE + t, code.N + code.n)
+        s_digits = _sample_letters(cum_src, u[:code.N])
+        idx = int(np.dot(s_digits, powers))
+        x = code.codebook[idx]
+        y = np.array([_sample_letters(cum_w[x[i]], u[code.N + i:code.N + i + 1])[0]
+                      for i in range(code.n)], dtype=np.int64)
+        loglik = log_w[code.codebook, y[None, :]].sum(axis=1)
+        logits = log_prior + loglik
+        norm = float(logsumexp(logits))
+        samples[t] = norm - float(logits[idx])
+        post = np.exp(logits - norm)
+        truth_mass[t] = post[idx]
+        ok = post > 0.0
+        split_src[t] = float(np.dot(post[ok], e_src[ok]))
+        e_chn = e_c[code.codebook, y[None, :]].sum(axis=1)
+        split_chn[t] = float(np.dot(post[ok], e_chn[ok]))
+
+    h_s = source_shannon_entropy(src)
+    h_sy = float(samples.mean()) / code.N
+    return oracle.OracleReport(
+        h_s=h_s,
+        h_s_given_y=h_sy,
+        mi_per_symbol=h_s - h_sy,
+        stderr=float(samples.std(ddof=1)) / math.sqrt(trials) / code.N,
+        energy_split_source=float(split_src.mean()) / code.N,
+        energy_split_channel=float(split_chn.mean()) / code.n,
+        z_c_fraction=float(truth_mass.mean()),
+    )
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("batch", [None, 16], ids=["default-batch", "batch-16"])
+    @pytest.mark.parametrize("system, N", [(bsc_system(0.2, source_energies=[0.0, 0.6]), 10),
+                                           (erasure_system(), 8)], ids=["bsc", "erasure"])
+    def test_matches_per_trial_reference(self, monkeypatch, system, N, batch):
+        # 257 trials leave the last batch partial: 128 + 128 + 1 for the
+        # default batch on 1024 messages, 16 * 16 + 1 for batches of 16
+        code = draw_code(system, N, seed=11)
+        if batch is not None:
+            monkeypatch.setattr(oracle, "_MC_BATCH_CELLS", batch * code.num_messages)
+        got = dataclasses.asdict(mc_mi(code, 257, seed=4))
+        want = dataclasses.asdict(mc_mi_per_trial(code, 257, seed=4))
+        for field, value in want.items():
+            assert got[field] == pytest.approx(value, abs=1e-12), field
+
+    def test_batched_scoring_memory_is_bounded(self):
+        # 32,768 messages; tables over coordinate blocks sized per output
+        # letter with no cap would take about 25M cells (200 MB)
+        code = draw_code(bsc_system(0.2), 15, seed=4)
+        tracemalloc.start()
+        try:
+            mc_mi(code, 100, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * _CHUNK_CELLS * 8
+
     def test_noiseless_estimate_is_exactly_zero(self):
         code = draw_code(noiseless_system(), 3, INJECTIVE_SEED)
         report = mc_mi(code, 150, seed=2)
