@@ -290,8 +290,9 @@ class MacSpec:
         ks, kt, _ = self.channel.shape
         if self.ensemble_s.size != ks or self.ensemble_t.size != kt:
             raise ValueError("ensemble sizes must match the channel inputs")
-        if abs(self.source_s.beta - self.source_t.beta) > 1e-12 or \
-                abs(self.source_s.beta - self.channel.beta) > 1e-12:
+        tol = 1e-12 * max(1.0, self.source_s.beta)
+        if abs(self.source_s.beta - self.source_t.beta) > tol or \
+                abs(self.source_s.beta - self.channel.beta) > tol:
             raise ValueError("sources and channel must share one inverse temperature")
 
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,74 +119,27 @@ class TabulatedFunction:
         return float(self.values_at(x))
 
 
-@dataclass(frozen=True)
-class ConcaveFunction:
+class ConcaveFunction(TabulatedFunction):
     """A TabulatedFunction whose finite part is contiguous and concave."""
 
-    base: TabulatedFunction
+    def __init__(self, table: TabulatedFunction):
+        super().__init__(table.x_min, table.x_max, table.values)
 
     def __post_init__(self):
-        mask = self.base.finite_mask
+        super().__post_init__()
+        mask = self.finite_mask
         idx = np.flatnonzero(mask)
         if idx.size == 0:
             raise ValueError("no finite values")
         if not mask[idx[0]:idx[-1] + 1].all():
             raise ValueError("finite support must be contiguous")
-        vals = self.base.values[idx[0]:idx[-1] + 1]
+        vals = self.values[idx[0]:idx[-1] + 1]
         if vals.size >= 3:
             rng = float(vals.max() - vals.min())
             tol = TOL_CONCAVITY_REL * max(rng, 1.0)
             second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
             if second.max() > tol:
                 raise ValueError("values are not concave on the grid")
-
-    # Delegation keeps the concave wrapper usable wherever a table is.
-    @property
-    def x_min(self) -> float:
-        return self.base.x_min
-
-    @property
-    def x_max(self) -> float:
-        return self.base.x_max
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.base.values
-
-    @property
-    def size(self) -> int:
-        return self.base.size
-
-    @property
-    def step(self) -> float:
-        return self.base.step
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.base.grid
-
-    @property
-    def finite_mask(self) -> np.ndarray:
-        return self.base.finite_mask
-
-    def support_indices(self):
-        return self.base.support_indices()
-
-    def support_range(self):
-        return self.base.support_range()
-
-    def values_at(self, xs) -> np.ndarray:
-        return self.base.values_at(xs)
-
-    def __call__(self, x: float) -> float:
-        return self.base(x)
-
-
-GridFunction = Union[TabulatedFunction, ConcaveFunction]
-
-
-def _table(f: GridFunction) -> TabulatedFunction:
-    return f.base if isinstance(f, ConcaveFunction) else f
 
 
 class SupTransform(NamedTuple):
@@ -218,19 +171,18 @@ class EquilibriumSolution:
     beta: float
 
 
-def concave_envelope(points: GridFunction) -> ConcaveFunction:
+def concave_envelope(points: TabulatedFunction) -> ConcaveFunction:
     """Upper concave hull of the finite samples.
 
     NEG_INF regions outside the hull support are preserved; gaps between
     finite samples are filled by the hull.  Raises DegenerateFunction when
     fewer than 3 finite samples are available.
     """
-    tab = _table(points)
-    mask = tab.finite_mask
+    mask = points.finite_mask
     if int(mask.sum()) < 3:
         raise DegenerateFunction("concave envelope needs at least 3 finite points")
-    xs = tab.grid[mask]
-    vs = tab.values[mask]
+    xs = points.grid[mask]
+    vs = points.values[mask]
 
     # Monotone-chain upper hull over points sorted by x (grid order).
     hull_x = [xs[0]]
@@ -248,42 +200,40 @@ def concave_envelope(points: GridFunction) -> ConcaveFunction:
         hull_x.append(x)
         hull_v.append(v)
 
-    out = np.full(tab.size, NEG_INF)
-    inside = (tab.grid >= xs[0] - _SNAP * tab.step) & (tab.grid <= xs[-1] + _SNAP * tab.step)
-    out[inside] = np.interp(tab.grid[inside], hull_x, hull_v)
-    return ConcaveFunction(TabulatedFunction(tab.x_min, tab.x_max, out))
+    out = np.full(points.size, NEG_INF)
+    slack = _SNAP * points.step
+    inside = (points.grid >= xs[0] - slack) & (points.grid <= xs[-1] + slack)
+    out[inside] = np.interp(points.grid[inside], hull_x, hull_v)
+    return ConcaveFunction(TabulatedFunction(points.x_min, points.x_max, out))
 
 
-def legendre_sup(f: GridFunction, beta: float) -> SupTransform:
+def legendre_sup(f: TabulatedFunction, beta: float) -> SupTransform:
     """sup over the grid of f(eps) - beta*eps, ties toward the smallest eps."""
-    tab = _table(f)
-    mask = tab.finite_mask
+    mask = f.finite_mask
     if not mask.any():
         raise DegenerateFunction("function has no finite support")
-    obj = np.where(mask, tab.values - beta * tab.grid, NEG_INF)
+    obj = np.where(mask, f.values - beta * f.grid, NEG_INF)
     k = int(np.argmax(obj))
-    return SupTransform(float(obj[k]), float(tab.x_min + k * tab.step))
+    return SupTransform(float(obj[k]), float(f.x_min + k * f.step))
 
 
-def legendre_inf(psi: GridFunction, epsilon: float) -> InfTransform:
+def legendre_inf(psi: TabulatedFunction, epsilon: float) -> InfTransform:
     """min over psi's slope grid of beta*epsilon + psi(beta), smallest-beta ties."""
-    tab = _table(psi)
-    mask = tab.finite_mask
+    mask = psi.finite_mask
     if not mask.any():
         raise DegenerateFunction("psi has no finite support")
-    obj = np.where(mask, tab.grid * epsilon + tab.values, np.inf)
+    obj = np.where(mask, psi.grid * epsilon + psi.values, np.inf)
     k = int(np.argmin(obj))
-    return InfTransform(float(obj[k]), float(tab.x_min + k * tab.step))
+    return InfTransform(float(obj[k]), float(psi.x_min + k * psi.step))
 
 
-def sup_transform_table(f: GridFunction, beta_min: float = 0.0,
+def sup_transform_table(f: TabulatedFunction, beta_min: float = 0.0,
                         beta_max: float = DEFAULT_BETA_MAX,
                         size: int = DEFAULT_GRID_SIZE) -> TabulatedFunction:
     """Tabulate beta -> legendre_sup(f, beta) on a uniform slope grid."""
-    tab = _table(f)
-    mask = tab.finite_mask
-    xs = tab.grid[mask]
-    vs = tab.values[mask]
+    mask = f.finite_mask
+    xs = f.grid[mask]
+    vs = f.values[mask]
     betas = np.linspace(beta_min, beta_max, size)
     out = np.empty(size)
     chunk = max(1, (1 << 22) // max(xs.size, 1))
@@ -293,13 +243,12 @@ def sup_transform_table(f: GridFunction, beta_min: float = 0.0,
     return TabulatedFunction(beta_min, beta_max, out)
 
 
-def inf_transform_table(psi: GridFunction, x_min: float, x_max: float,
+def inf_transform_table(psi: TabulatedFunction, x_min: float, x_max: float,
                         size: int = DEFAULT_GRID_SIZE) -> TabulatedFunction:
     """Tabulate eps -> legendre_inf(psi, eps) on a uniform energy grid."""
-    tab = _table(psi)
-    mask = tab.finite_mask
-    bs = tab.grid[mask]
-    ps = tab.values[mask]
+    mask = psi.finite_mask
+    bs = psi.grid[mask]
+    ps = psi.values[mask]
     xs = np.linspace(x_min, x_max, size)
     out = np.empty(size)
     chunk = max(1, (1 << 22) // max(bs.size, 1))
@@ -309,45 +258,34 @@ def inf_transform_table(psi: GridFunction, x_min: float, x_max: float,
     return TabulatedFunction(x_min, x_max, out)
 
 
-def _central_slopes(tab: TabulatedFunction):
-    """Central differences at nodes where both neighbours are finite."""
-    v = tab.values
-    ok = np.zeros(tab.size, dtype=bool)
-    ok[1:-1] = np.isfinite(v[:-2]) & np.isfinite(v[1:-1]) & np.isfinite(v[2:])
-    d = np.full(tab.size, np.nan)
-    d[ok] = (v[2:][ok[1:-1]] - v[:-2][ok[1:-1]]) / (2.0 * tab.step)
-    return d, ok
-
-
-def derivative(f: GridFunction, x: float) -> float:
+def derivative(f: TabulatedFunction, x: float) -> float:
     """Central-difference slope at x, interpolated between grid nodes.
 
     Refuses points at or outside the edge of the finite support (one full
     grid step inside is required) with EdgeDerivative.
     """
-    tab = _table(f)
-    span = tab.support_indices()
+    span = f.support_indices()
     if span is None:
         raise EdgeDerivative("function has no finite support")
     i0, i1 = span
-    h = tab.step
-    pos = (x - tab.x_min) / h
+    h = f.step
+    pos = (x - f.x_min) / h
     k = int(math.floor(pos + _SNAP))
     w = pos - k
     if abs(w) < _SNAP:
         # exactly on a node: single central difference there
         if not (i0 + 1 <= k <= i1 - 1):
             raise EdgeDerivative(f"x={x!r} is not interior to the support")
-        return float((tab.values[k + 1] - tab.values[k - 1]) / (2.0 * h))
+        return float((f.values[k + 1] - f.values[k - 1]) / (2.0 * h))
     k = int(math.floor(pos))
     if not (i0 + 1 <= k and k + 1 <= i1 - 1):
         raise EdgeDerivative(f"x={x!r} is not interior to the support")
-    dk = (tab.values[k + 1] - tab.values[k - 1]) / (2.0 * h)
-    dk1 = (tab.values[k + 2] - tab.values[k]) / (2.0 * h)
+    dk = (f.values[k + 1] - f.values[k - 1]) / (2.0 * h)
+    dk1 = (f.values[k + 2] - f.values[k]) / (2.0 * h)
     return float(dk + (pos - k) * (dk1 - dk))
 
 
-def weighted_sup_convolution(sigma_s: GridFunction, phi: GridFunction,
+def weighted_sup_convolution(sigma_s: TabulatedFunction, phi: TabulatedFunction,
                              lam: float, epsilon: float) -> SupConvolution:
     """Combined entropy at total per-particle energy epsilon.
 
@@ -357,32 +295,30 @@ def weighted_sup_convolution(sigma_s: GridFunction, phi: GridFunction,
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    s = _table(sigma_s)
     total = (1.0 + lam) * epsilon
-    slack = _SNAP * max(abs(total), s.step)
-    mask = s.finite_mask & (s.grid >= -slack) & (s.grid <= total + slack)
+    slack = _SNAP * max(abs(total), sigma_s.step)
+    mask = sigma_s.finite_mask & (sigma_s.grid >= -slack) & (sigma_s.grid <= total + slack)
     if not mask.any():
         return SupConvolution(NEG_INF, math.nan)
-    eps_p = s.grid[mask]
+    eps_p = sigma_s.grid[mask]
     args = (total - eps_p) / lam
-    phi_vals = _table(phi).values_at(args)
+    phi_vals = phi.values_at(args)
     w = 1.0 / (1.0 + lam)
     obj = np.where(np.isfinite(phi_vals),
-                   w * s.values[mask] + (lam * w) * phi_vals, NEG_INF)
+                   w * sigma_s.values[mask] + (lam * w) * phi_vals, NEG_INF)
     k = int(np.argmax(obj))
     if not np.isfinite(obj[k]):
         return SupConvolution(NEG_INF, math.nan)
     return SupConvolution(float(obj[k]), float(eps_p[k]))
 
 
-def clip_nonnegative(sigma0: GridFunction) -> TabulatedFunction:
+def clip_nonnegative(sigma0: TabulatedFunction) -> TabulatedFunction:
     """Replace strictly negative values by NEG_INF, keep the rest."""
-    tab = _table(sigma0)
-    out = np.where(tab.values < 0.0, NEG_INF, tab.values)
-    return TabulatedFunction(tab.x_min, tab.x_max, out)
+    out = np.where(sigma0.values < 0.0, NEG_INF, sigma0.values)
+    return TabulatedFunction(sigma0.x_min, sigma0.x_max, out)
 
 
-def solve_equilibrium(sigma1: GridFunction, sigma2: GridFunction,
+def solve_equilibrium(sigma1: TabulatedFunction, sigma2: TabulatedFunction,
                       lam: float, epsilon0: float,
                       tol_root: float = TOL_ROOT) -> EquilibriumSolution:
     """Solve sigma1'(eps) = sigma2'(((1+lam)*eps0 - eps)/lam) by bisection.
@@ -393,25 +329,25 @@ def solve_equilibrium(sigma1: GridFunction, sigma2: GridFunction,
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    t1, t2 = _table(sigma1), _table(sigma2)
-    span1, span2 = t1.support_range(), t2.support_range()
+    span1, span2 = sigma1.support_range(), sigma2.support_range()
     if span1 is None or span2 is None:
         raise DegenerateFunction("both curves need finite support")
     total = (1.0 + lam) * epsilon0
 
     # eps must stay one grid step inside sigma1's support, and the partner
     # energy one step inside sigma2's.
-    lo = max(span1[0] + t1.step, total - lam * (span2[1] - t2.step), 0.0)
-    hi = min(span1[1] - t1.step, total - lam * (span2[0] + t2.step), total)
+    lo = max(span1[0] + sigma1.step, total - lam * (span2[1] - sigma2.step), 0.0)
+    hi = min(span1[1] - sigma1.step, total - lam * (span2[0] + sigma2.step), total)
 
     def partner(eps: float) -> float:
         return (total - eps) / lam
 
     def g(eps: float) -> float:
-        return derivative(t1, eps) - derivative(t2, partner(eps))
+        return derivative(sigma1, eps) - derivative(sigma2, partner(eps))
 
     if lo >= hi:
-        endpoint = "lower" if total - lam * (span2[0] + t2.step) <= span1[0] + t1.step else "upper"
+        lower = total - lam * (span2[0] + sigma2.step) <= span1[0] + sigma1.step
+        endpoint = "lower" if lower else "upper"
         raise BoundarySolution(endpoint, lo if endpoint == "lower" else hi)
     g_lo, g_hi = g(lo), g(hi)
     # g is nonincreasing: positive at lo and negative at hi brackets a root
@@ -436,8 +372,8 @@ def solve_equilibrium(sigma1: GridFunction, sigma2: GridFunction,
     residual = g(eps)
     if abs(residual) > tol_root:
         raise BoundarySolution("lower" if residual < 0 else "upper", eps)
-    s1 = derivative(t1, eps)
-    s2 = derivative(t2, partner(eps))
+    s1 = derivative(sigma1, eps)
+    s2 = derivative(sigma2, partner(eps))
     return EquilibriumSolution(epsilon_star=float(eps),
                                epsilon_channel=float(partner(eps)),
                                beta=float(0.5 * (s1 + s2)))

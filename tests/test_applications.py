@@ -25,11 +25,13 @@ from jscthermo import (
     equivocation_bound,
     exact_mi,
     gamma,
+    mac_from_dict,
     mac_mi_user,
     mac_oracle,
     mac_phi_conditional_at,
     mutual_information_rate,
     secrecy_capacity,
+    system_from_dict,
     tap_capacity,
 )
 
@@ -334,3 +336,22 @@ class TestSecrecyCapacityBracket:
             c_s = secrecy_capacity(spec, resolution=60)
             assert c_s <= gamma(spec, 0.0, resolution=60).value, seed
             assert gamma(spec, c_s, resolution=60).value >= c_s, seed
+
+
+class TestMacSharedTemperature:
+    def test_beta_check_is_relative_to_beta(self):
+        # kT = 1e-5 gives beta = 1/1e-5, one rounding away from the stated 1e5
+        block = {"binary_source": {"q": 0.3, "kT": 1e-5},
+                 "binary_source_t": {"q": 0.6, "kT": 1e-5},
+                 "channel3": [[[0.0, 1e-5], [1e-5, 0.0]], [[1e-5, 0.0], [0.0, 1e-5]]],
+                 "beta": 100000,
+                 "lambda": {"num": 1, "den": 1}}
+        assert 1.0 / 1e-5 != 100000
+        spec = mac_from_dict({"mac": block})
+        assert spec.beta == pytest.approx(1e5, rel=1e-15)
+        # the single-user system at the same temperatures is accepted too
+        system = system_from_dict({
+            "binary_source": block["binary_source"],
+            "channel": {"hamiltonian": [[0.0, 1e-5], [1e-5, 0.0]], "beta": 100000},
+            "lambda": block["lambda"]})
+        assert system.beta == spec.beta

@@ -1,5 +1,7 @@
 """CLI: commands, formats, determinism, exit codes, schema conformance."""
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -334,3 +336,20 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_traced_names_resolve_after_cli_import():
+    # perfbench's tracer wraps these attributes by name; a refactor that drops
+    # one would stop a traced benchmark run with an AttributeError
+    import jscthermo.cli  # noqa: F401
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "spans.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    patches = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["PATCHES"])
+    pairs = [(ast.literal_eval(row.elts[0]), ast.literal_eval(row.elts[1]))
+             for row in patches.elts]
+    assert len(pairs) >= 10
+    for module_name, attr in pairs:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+            (module_name, attr)
