@@ -4,10 +4,8 @@ Sources and channels are Boltzmann families: the stored Hamiltonian together
 with an inverse temperature defines the letter distribution P(s) and the
 transition matrix W(y|x).  This module computes their per-letter log
 partition functions, microcanonical entropy curves, the output-averaged log
-moment generating function of the channel energy and its rate function, and
-the combined family of both at one temperature, whose dual is the combined
-entropy; plus the closed-form crossover/bias parameter mappings and binary
-convolution.
+moment generating function of the channel energy and its rate function, plus
+the closed-form crossover/bias parameter mappings and binary convolution.
 """
 
 from __future__ import annotations
@@ -162,76 +160,57 @@ class PhiPoint(NamedTuple):
 EntropyPoint = PhiPoint   # Sigma_S is the same Legendre dual
 
 
-class _Block(NamedTuple):
-    log_w: np.ndarray      # (inputs, used outputs), masked cells NEG_INF
-    energies: np.ndarray   # (inputs, used outputs), masked cells 0
-    q: np.ndarray          # weights of the used outputs
-
-
 class _TiltedFamily:
-    """zeta(t) = sum_b sum_y Q_b(y) log sum_x w_b(x) exp(-t E_b(x,y)) and its
-    Legendre dual phi(eps) = inf_t [zeta(t) + eps*t], the growth rate of
-    configurations at output-averaged energy eps.
+    """zeta(t) = sum_y Q(y) log sum_x w(x) exp(-t E(x,y)) and its Legendre dual
+    phi(eps) = inf_t [zeta(t) + eps*t], the growth rate of configurations at
+    output-averaged energy eps.
 
-    Each block b is a (log_w, energies, out_weights) triple with inputs of its
-    own; the constructor takes one block and any further ones as triples.
     The channel rate function takes w = M and Q the output law; the source
-    entropy Sigma_S is the same dual under counting measure with one output;
-    the combined entropy weights one of each (combined_family).  Cells with
-    E = +inf or w = 0 are masked and outputs with Q(y) = 0 are dropped.
-    Every method is vectorised over tilts, inputs and outputs.
+    entropy Sigma_S is the same dual under counting measure with one output.
+    Cells with E = +inf or w = 0 are masked and outputs with Q(y) = 0 are
+    dropped.  Every method is vectorised over tilts, inputs and outputs.
     """
 
-    def __init__(self, log_w, energies, out_weights, *more):
-        self.blocks = []
-        levels = []
-        for log_w, energies, out_weights in ((log_w, energies, out_weights),) + more:
-            log_w = np.asarray(log_w, dtype=float)
-            q = np.asarray(out_weights, dtype=float)
-            used = q > 0.0
-            energies = np.asarray(energies, dtype=float)[:, used]
-            ok = np.isfinite(energies) & np.isfinite(log_w)[:, None]
-            empty = ~ok.any(axis=0)
-            if empty.any():
-                y = int(np.flatnonzero(used)[np.argmax(empty)])
-                raise IncompatibleSupport(f"output {y} has no compatible input letter")
-            block = _Block(np.where(ok, log_w[:, None], NEG_INF),
-                           np.where(ok, energies, 0.0), q[used])
-            self.blocks.append(block)
-            levels.append((block, np.where(ok, energies, np.inf).min(axis=0),
-                           np.where(ok, energies, -np.inf).max(axis=0)))
-        self.cells = sum(b.energies.size for b in self.blocks)
-        self.scale = max(float(np.abs(b.energies).max()) for b in self.blocks) or 1.0
+    def __init__(self, log_w, energies, out_weights):
+        log_w = np.asarray(log_w, dtype=float)
+        q = np.asarray(out_weights, dtype=float)
+        used = q > 0.0
+        energies = np.asarray(energies, dtype=float)[:, used]
+        ok = np.isfinite(energies) & np.isfinite(log_w)[:, None]
+        empty = ~ok.any(axis=0)
+        if empty.any():
+            y = int(np.flatnonzero(used)[np.argmax(empty)])
+            raise IncompatibleSupport(f"output {y} has no compatible input letter")
+        self.q = q[used]
+        self.energies = np.where(ok, energies, 0.0)
+        self.log_w = np.where(ok, log_w[:, None], NEG_INF)
+        self.scale = float(np.abs(self.energies).max()) or 1.0
         self.tol = _DEGENERATE_SPAN * self.scale
-        self.eps_lo = sum(float(lo @ b.q) for b, lo, _ in levels)
-        self.eps_hi = sum(float(hi @ b.q) for b, _, hi in levels)
-
-        def mass(b, level):   # log mass of each output's lowest or highest level
-            return float(logsumexp(np.where(level, b.log_w, NEG_INF), axis=0) @ b.q)
-
-        self.lo_mass = sum(mass(b, b.energies <= lo + self.tol) for b, lo, _ in levels)
-        self.hi_mass = sum(mass(b, b.energies >= hi - self.tol) for b, _, hi in levels)
+        e_lo = np.where(ok, energies, np.inf).min(axis=0)
+        e_hi = np.where(ok, energies, -np.inf).max(axis=0)
+        self.eps_lo = float(e_lo @ self.q)
+        self.eps_hi = float(e_hi @ self.q)
+        # log mass of each output's lowest and highest level
+        self.lo_mass, self.hi_mass = (
+            float(logsumexp(np.where(level, self.log_w, NEG_INF), axis=0) @ self.q)
+            for level in (energies <= e_lo + self.tol, energies >= e_hi - self.tol))
 
     def _chunked(self, fn, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        step = max(1, _CELL_BUDGET // self.cells)
+        step = max(1, _CELL_BUDGET // self.energies.size)
         return np.concatenate([fn(xs[a:a + step]) for a in range(0, xs.size, step)] or [xs])
 
-    def _log_mgf(self, ts: np.ndarray) -> np.ndarray:
-        return sum(logsumexp(b.log_w - ts[:, None, None] * b.energies, axis=1) @ b.q
-                   for b in self.blocks)
+    def _logits(self, ts: np.ndarray) -> np.ndarray:
+        return self.log_w - ts[:, None, None] * self.energies
 
     def _mean(self, ts: np.ndarray) -> np.ndarray:
-        total = 0.0
-        for b in self.blocks:
-            logits = b.log_w - ts[:, None, None] * b.energies
-            p = np.exp(logits - logits.max(axis=1, keepdims=True))
-            total = total + ((p * b.energies).sum(axis=1) / p.sum(axis=1)) @ b.q
-        return total
+        logits = self._logits(ts)
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return ((p * self.energies).sum(axis=1) / p.sum(axis=1)) @ self.q
 
     def log_mgf(self, ts) -> np.ndarray:
         """zeta at each tilt."""
-        return self._chunked(self._log_mgf, ts)
+        return self._chunked(lambda t: logsumexp(self._logits(t), axis=1) @ self.q, ts)
 
     def mean(self, ts) -> np.ndarray:
         """-zeta'(t): the output-averaged mean energy of each tilted law."""
@@ -291,12 +270,8 @@ class _TiltedFamily:
         return ConcaveFunction(TabulatedFunction(x_min, x_max, vals))
 
 
-def _source_block(source: SourceSpec, weight: float = 1.0):
-    return np.zeros(source.alphabet_size), source.hamiltonian[:, None], [weight]
-
-
 def _source_family(source: SourceSpec) -> _TiltedFamily:
-    return _TiltedFamily(*_source_block(source))
+    return _TiltedFamily(np.zeros(source.alphabet_size), source.hamiltonian[:, None], [1.0])
 
 
 def source_entropy_function(source: SourceSpec,
@@ -464,25 +439,9 @@ def _log_m(ensemble: EnsembleSpec) -> np.ndarray:
     return np.where(m > 0.0, np.log(np.where(m > 0.0, m, 1.0)), -np.inf)
 
 
-def _channel_block(system: SystemSpec, weight: float = 1.0):
-    q = output_marginal(system.ensemble, system.channel)
-    return _log_m(system.ensemble), system.channel.hamiltonian, weight * q
-
-
 def _system_family(system: SystemSpec) -> _TiltedFamily:
-    return _TiltedFamily(*_channel_block(system))
-
-
-def combined_family(system: SystemSpec) -> _TiltedFamily:
-    """Source and channel tilted at one common temperature.
-
-    Its log-MGF is F(t) = [psi_S(t) + lam*zeta(t)]/(1+lam), the transform of
-    the weighted sup-convolution of Sigma_S and phi, so its dual is the
-    combined entropy over the total energy per particle.
-    """
-    lam = system.lambda_value
-    return _TiltedFamily(*_source_block(system.source, 1.0 / (1.0 + lam)),
-                         _channel_block(system, lam / (1.0 + lam)))
+    q = output_marginal(system.ensemble, system.channel)
+    return _TiltedFamily(_log_m(system.ensemble), system.channel.hamiltonian, q)
 
 
 def zeta(system: SystemSpec, t: float) -> float:

@@ -1,12 +1,10 @@
 """Full-system analysis: combined entropy, phase, and mutual information rate.
 
-Source and channel exchange energy at one common temperature, so the combined
-entropy over the total energy per particle is the Legendre dual of
-F(t) = [psi_S(t) + lambda*zeta(t)]/(1+lambda), tabulated from the one tilted
-family (models.combined_family) and clipped at zero.  Its argmax against
-beta*eps gives the dominant energy; comparing the correct-codeword exponent
-with that supremum classifies the phase; the paramagnetic mutual information
-rate is -lambda * phi(-zeta'(beta)).
+The combined entropy curve is the weighted supremal convolution of the source
+entropy with the channel rate function, enveloped and clipped at zero.  Its
+argmax against beta*eps gives the dominant energy; comparing the correct-
+codeword exponent with that supremum classifies the phase; the paramagnetic
+mutual information rate is -lambda * phi(-zeta'(beta)).
 """
 
 from __future__ import annotations
@@ -19,21 +17,25 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import PhaseMismatch
+from .errors import DegenerateFunction, PhaseMismatch
 from .models import (
     SystemSpec,
+    channel_phi,
     channel_phi_at,
-    combined_family,
     source_entropy_at,
+    source_entropy_function,
     source_shannon_entropy,
     zeta_prime_neg,
 )
-from .tabulated import DEFAULT_GRID_SIZE, NEG_INF, TabulatedFunction, clip_nonnegative
-
-# Not called here: perfbench's tracer (perfbench/spans.py) wraps these names
-# in this module, so they stay importable from it.
-from .models import channel_phi, source_entropy_function  # noqa: F401
-from .tabulated import concave_envelope  # noqa: F401
+from .tabulated import (
+    DEFAULT_GRID_SIZE,
+    NEG_INF,
+    ConcaveFunction,
+    TabulatedFunction,
+    clip_nonnegative,
+    concave_envelope,
+    weighted_sup_convolution,
+)
 
 TOL_ZERO = 1e-6    # combined entropy below this at the argmax means frozen
 TOL_PHASE = 1e-7   # slack in the correct-codeword dominance comparison
@@ -63,16 +65,94 @@ class DominantEnergy(NamedTuple):
     psi: float
 
 
+def _convolution_objective(sigma_s, phi, lam, totals, idx):
+    """Objective of the supremal convolution at source grid indices idx.
+
+    totals has shape (G,), idx shape (G, width); returns (G, width) values.
+    """
+    w = 1.0 / (1.0 + lam)
+    eps_p = sigma_s.x_min + idx * sigma_s.step
+    args = (totals[:, None] - eps_p) / lam
+    s_vals = sigma_s.values[idx]
+    phi_vals = phi.values_at(args.ravel()).reshape(args.shape)
+    return np.where(np.isfinite(s_vals) & np.isfinite(phi_vals),
+                    w * s_vals + (lam * w) * phi_vals, NEG_INF)
+
+
+def _convolution_table(sigma_s: ConcaveFunction, phi: ConcaveFunction,
+                       lam: float, grid_size: int) -> TabulatedFunction:
+    """Raw combined entropy on a uniform total-energy grid.
+
+    For each total energy the objective over the source-energy grid is
+    concave with a contiguous feasible interval, so a coarse scan plus a
+    one-stride refinement finds the exact grid argmax (smallest-index ties
+    included).
+    """
+    s_span = sigma_s.support_range()
+    p_span = phi.support_range()
+    if s_span is None or p_span is None:
+        raise DegenerateFunction("source or channel entropy has empty support")
+    lo = (s_span[0] + lam * p_span[0]) / (1.0 + lam)
+    hi = (s_span[1] + lam * p_span[1]) / (1.0 + lam)
+    if hi - lo <= 1e-12 * hi:   # a point, relative to the energy scale
+        vals = np.full(grid_size, NEG_INF)
+        vals[0] = weighted_sup_convolution(sigma_s, phi, lam, lo).value
+        return TabulatedFunction(lo, lo + 1.0, vals)
+    grid = np.linspace(lo, hi, grid_size)
+    totals = (1.0 + lam) * grid
+    h = sigma_s.step
+    s_first, s_last = sigma_s.support_indices()
+
+    # feasible source-index interval per total energy
+    lo_eps = np.maximum.reduce([np.full(grid_size, sigma_s.x_min + s_first * h),
+                                totals - lam * p_span[1],
+                                np.zeros(grid_size)])
+    hi_eps = np.minimum.reduce([np.full(grid_size, sigma_s.x_min + s_last * h),
+                                totals - lam * p_span[0],
+                                totals])
+    a_idx = np.ceil((lo_eps - sigma_s.x_min) / h - 1e-9).astype(int)
+    b_idx = np.floor((hi_eps - sigma_s.x_min) / h + 1e-9).astype(int)
+    a_idx = np.clip(a_idx, s_first, s_last)
+    b_idx = np.clip(b_idx, s_first, s_last)
+    empty = a_idx > b_idx
+
+    coarse = 128
+    j = np.arange(coarse + 1)
+    span = (b_idx - a_idx).astype(float)
+    coarse_idx = a_idx[:, None] + np.round(j[None, :] * span[:, None] / coarse).astype(int)
+    coarse_idx = np.clip(coarse_idx, s_first, s_last)
+    obj = _convolution_objective(sigma_s, phi, lam, totals, coarse_idx)
+    best = coarse_idx[np.arange(grid_size), np.argmax(obj, axis=1)]
+
+    stride = np.maximum(np.ceil(span / coarse).astype(int), 1)
+    width = int(stride.max()) * 2 + 5
+    offsets = np.arange(width) - (width // 2)
+    fine_idx = np.clip(best[:, None] + offsets[None, :], a_idx[:, None], b_idx[:, None])
+    obj = _convolution_objective(sigma_s, phi, lam, totals, fine_idx)
+    pick = np.argmax(obj, axis=1)
+    vals = obj[np.arange(grid_size), pick]
+    vals[empty] = NEG_INF
+    return TabulatedFunction(lo, hi, vals)
+
+
 class _EntropyCurves(NamedTuple):
-    raw: TabulatedFunction       # combined entropy before clipping
+    sigma_s: ConcaveFunction     # source microcanonical entropy
+    phi: ConcaveFunction         # channel-energy rate function
+    raw: TabulatedFunction       # enveloped combined entropy before clipping
     clipped: TabulatedFunction   # the typical-code entropy (negative -> NEG_INF)
 
 
 @lru_cache(maxsize=32)
 def _combined_entropy(system: SystemSpec, grid_size: int) -> _EntropyCurves:
-    family = combined_family(system)
-    raw = family.table(family.eps_lo, family.eps_hi, grid_size)
-    return _EntropyCurves(raw, clip_nonnegative(raw))
+    sigma_s = source_entropy_function(system.source, grid_size)
+    phi = channel_phi(system, grid_size)
+    conv = _convolution_table(sigma_s, phi, system.lambda_value, grid_size)
+    try:
+        raw = concave_envelope(conv)
+    except DegenerateFunction:
+        # fewer than 3 finite points: nothing to envelope
+        raw = conv
+    return _EntropyCurves(sigma_s, phi, raw, clip_nonnegative(raw))
 
 
 def total_entropy(system: SystemSpec, beta: Optional[float] = None,
@@ -142,12 +222,8 @@ def analyze(system: SystemSpec, beta: Optional[float] = None,
 
     if sigma_at <= TOL_ZERO or clipped_edge:
         # subexponentially many configurations dominate: frozen
-        # source and channel share the combined family's tilt at eps0
-        t = combined_family(sys2).at(eps0_grid).slope
-        if math.isinf(t):
-            eps_star = 0.0 if t > 0.0 else float(sys2.source.hamiltonian.max())
-        else:
-            eps_star = sys2.source.mean_energy(t)
+        split = weighted_sup_convolution(curves.sigma_s, curves.phi, lam, eps0_grid)
+        eps_star = split.epsilon_source if math.isfinite(split.epsilon_source) else eps_source
         share = ((1.0 + lam) * eps0_grid - eps_star) / lam
         return PhaseReport(Phase.GLASSY, eps0_grid, eps_star, share,
                            h_source, h_source, sigma_at)

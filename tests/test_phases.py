@@ -25,12 +25,9 @@ from jscthermo import (
     mutual_information_rate,
     solve_equilibrium,
     source_entropy_function,
-    source_shannon_entropy,
     channel_phi,
     total_entropy,
-    weighted_sup_convolution,
 )
-from jscthermo.models import combined_family, zeta, zeta_prime_neg
 
 LN2 = math.log(2.0)
 
@@ -90,53 +87,6 @@ class TestTotalEntropy:
         assert np.isneginf(sigma.values).any()
         finite = sigma.values[np.isfinite(sigma.values)]
         assert np.all(finite >= 0.0)
-
-
-def random_system(rng):
-    """Random source, channel and ensemble at one temperature."""
-    beta = rng.uniform(0.5, 2.0)
-    k_s, k_x, k_y = rng.integers(2, 5, size=3)
-    source = SourceSpec(rng.uniform(0.0, 3.0, size=k_s) / beta, beta)
-    channel = ChannelSpec(rng.uniform(0.0, 4.0, size=(k_x, k_y)) / beta, beta)
-    lam = Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-    return SystemSpec(source, channel, EnsembleSpec(rng.dirichlet(np.ones(k_x))), lam)
-
-
-class TestCombinedFamily:
-    def test_dual_at_thermal_energy_is_closed_form(self):
-        # F(t) = [psi_S(t) + lam*zeta(t)]/(1+lam): at t = beta the dual sits at
-        # eps0 = (eps_S + lam*eps_C)/(1+lam), with value [H(S) - lam*I_beta]/(1+lam)
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            system = random_system(rng)
-            b, lam = system.beta, system.lambda_value
-            eps_c = zeta_prime_neg(system)
-            i_beta = -(zeta(system, b) + b * eps_c)
-            family = combined_family(system)
-            eps0 = float(family.mean(b)[0])
-            assert eps0 == pytest.approx(
-                (system.source.mean_energy() + lam * eps_c) / (1.0 + lam), abs=1e-12)
-            point = family.at(eps0)
-            assert point.value == pytest.approx(
-                (source_shannon_entropy(system.source) - lam * i_beta) / (1.0 + lam), abs=1e-12)
-            assert point.slope == pytest.approx(b, abs=1e-12)
-
-    def test_bounds_the_grid_sup_convolution(self):
-        # the grid route maximises over source nodes against an interpolated
-        # phi, so it can only fall short of the exact dual
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            system = random_system(rng)
-            sigma = total_entropy(system)
-            sigma_s = source_entropy_function(system.source)
-            phi = channel_phi(system)
-            for k in range(0, sigma.size, 256):
-                eps = sigma.x_min + k * sigma.step
-                ref = weighted_sup_convolution(sigma_s, phi, system.lambda_value, eps).value
-                if math.isfinite(sigma.values[k]):
-                    assert ref <= sigma.values[k] <= ref + 1e-5, (k, ref)
-                else:
-                    assert ref < 0.0, (k, ref)
 
 
 class TestDominantEnergy:
