@@ -233,6 +233,8 @@ def _cmd_simulate(args) -> int:
         raise SpecError("n", "need a block length of at least 1")
     if args.trials and args.trials < 100:
         raise SpecError("trials", "need at least 100 Monte Carlo trials")
+    if args.seeds < 1:
+        raise SpecError("seeds", "need at least one codebook seed")
     system = system_from_dict(_load_spec(args.spec))
     budget = args.budget
     formula_mi = mutual_information_rate(system, grid_size=args.grid)
@@ -360,12 +362,23 @@ def _cmd_mac(args) -> int:
     return 0
 
 
+def _budget(flag: Optional[int]) -> int:
+    """--budget if given, else $JSC_BUDGET, else the default; never negative."""
+    text = os.environ.get("JSC_BUDGET")
+    try:
+        budget = flag if flag is not None else int(text) if text else DEFAULT_ENUM_BUDGET
+    except ValueError:
+        raise SpecError("budget", f"JSC_BUDGET={text!r} is not an integer") from None
+    if budget < 0:
+        raise SpecError("budget", f"{budget} is negative")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jscthermo",
         description="Thermodynamic analysis of random joint source-channel codes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    env_budget = os.environ.get("JSC_BUDGET")
 
     def common(p: argparse.ArgumentParser):
         p.add_argument("--spec", required=True, help="JSON system description")
@@ -375,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE,
                        help="grid size for tabulated functions")
         p.add_argument("--budget", type=int,
-                       default=int(env_budget) if env_budget else DEFAULT_ENUM_BUDGET,
                        help="enumeration budget in (message, output) pairs")
         p.add_argument("--bits", action="store_true",
                        help="report information quantities in bits")
@@ -424,6 +436,7 @@ def main(argv=None) -> int:
     try:
         if args.grid < 3:
             raise SpecError("grid", "need at least 3 grid points")
+        args.budget = _budget(args.budget)
         return handlers[args.command](args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from .tabulated import (
 # Tolerances and the tilt window are relative to a family's largest energy.
 _DEGENERATE_SPAN = 1e-12   # energy ranges below this collapse to a point
 _POINT_SLACK = 1e-9        # a one-point energy range accepts eps this close
-_SLOPE_CAP = 1e5           # bisection window for tilt parameters
+_SLOPE_CAP = 1e5           # window for tilt parameters
 _CELL_BUDGET = 1 << 22     # cells in one (tilts x inputs x outputs) temporary
 
 
@@ -203,10 +203,14 @@ class _TiltedFamily:
     def _logits(self, ts: np.ndarray) -> np.ndarray:
         return self.log_w - ts[:, None, None] * self.energies
 
-    def _mean(self, ts: np.ndarray) -> np.ndarray:
+    def _moments(self, ts: np.ndarray):
+        """Output-averaged mean and variance of the energy under each tilted law."""
         logits = self._logits(ts)
         p = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return ((p * self.energies).sum(axis=1) / p.sum(axis=1)) @ self.q
+        z = p.sum(axis=1)
+        mean = (p * self.energies).sum(axis=1) / z
+        var = (p * (self.energies - mean[:, None, :]) ** 2).sum(axis=1) / z
+        return mean @ self.q, var @ self.q
 
     def log_mgf(self, ts) -> np.ndarray:
         """zeta at each tilt."""
@@ -214,24 +218,46 @@ class _TiltedFamily:
 
     def mean(self, ts) -> np.ndarray:
         """-zeta'(t): the output-averaged mean energy of each tilted law."""
-        return self._chunked(self._mean, ts)
+        return self._chunked(lambda t: self._moments(t)[0], ts)
 
     def tilt(self, targets) -> np.ndarray:
-        """Solve mean(t) = target inside (eps_lo, eps_hi) by bisection: the mean
-        falls strictly in t, within +-_SLOPE_CAP per unit of the largest energy."""
+        """Solve mean(t) = target inside (eps_lo, eps_hi).  The mean falls
+        strictly in t with slope -variance, within +-_SLOPE_CAP per unit of the
+        largest energy.  Each target starts between two knots of a log-spaced
+        table of tilts and takes Newton steps; a step that leaves the shrinking
+        bracket is replaced by the bracket midpoint.  No target takes more than
+        110 evaluations."""
         cap = _SLOPE_CAP / self.scale
+        side = cap * np.logspace(-10.0, 0.0, 129)
+        knots = np.concatenate([-side[::-1], [0.0], side])
+        # searchsorted needs non-increasing means; rounding can break that where they saturate
+        means = np.minimum.accumulate(self.mean(knots))
 
-        def bisect(goal):
-            lo = np.full(goal.shape, -cap)
-            hi = np.full(goal.shape, cap)
+        def newton(goal):
+            k = np.clip(np.searchsorted(-means, -goal), 1, knots.size - 1)
+            lo, hi = knots[k - 1], knots[k]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                frac = (means[k - 1] - goal) / (means[k - 1] - means[k])
+            t = lo + (hi - lo) * np.where(np.isfinite(frac), np.clip(frac, 0.0, 1.0), 0.5)
+            out, todo = t.copy(), np.arange(goal.size)
             for _ in range(110):
-                mid = 0.5 * (lo + hi)
-                too_high = self._mean(mid) > goal
-                lo = np.where(too_high, mid, lo)
-                hi = np.where(too_high, hi, mid)
-            return 0.5 * (lo + hi)
+                m, var = self._moments(t)
+                above = m > goal                  # the root lies above t
+                lo, hi = np.where(above, t, lo), np.where(above, hi, t)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    nt = t + (m - goal) / var
+                inside = (nt >= lo) & (nt <= hi)
+                done = inside & (np.abs(nt - t) <= 1e-12 * (np.abs(nt) + 1.0 / self.scale))
+                t = np.where(inside, nt, 0.5 * (lo + hi))
+                done |= hi - lo <= 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+                out[todo] = t
+                keep = ~done
+                todo, t, lo, hi, goal = todo[keep], t[keep], lo[keep], hi[keep], goal[keep]
+                if not todo.size:
+                    break
+            return out
 
-        return self._chunked(bisect, targets)
+        return self._chunked(newton, targets)
 
     def _dual(self, eps: np.ndarray):
         """phi and its slope at eps; at or beyond an end, that end's level."""

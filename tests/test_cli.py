@@ -321,11 +321,22 @@ class TestDocumentedExitCodes:
         pytest.param(["mac", "--n", "-1"], MAC_SPEC, "'n'", id="mac-n-negative"),
         pytest.param(["wiretap", "--steps", "0"], WIRETAP_SPEC, "steps", id="steps-0"),
         pytest.param(["wiretap", "--steps", "-3"], WIRETAP_SPEC, "steps", id="steps-negative"),
+        pytest.param(["simulate", "--n", "4", "--seeds", "0"], BSC_SPEC, "seeds", id="seeds-0"),
+        pytest.param(["simulate", "--n", "4", "--seeds", "-2"], BSC_SPEC, "seeds",
+                     id="seeds-negative"),
+        pytest.param(["simulate", "--n", "4", "--budget", "-5"], BSC_SPEC, "budget",
+                     id="budget-negative"),
     ])
     def test_bad_size_exits_2(self, tmp_path, capsys, args, spec, field):
         path = write_spec(tmp_path, spec)
         assert run(args + ["--spec", path, "--out", "-"]) == 2
         assert field in capsys.readouterr().err
+
+    def test_non_integer_env_budget_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("JSC_BUDGET", "abc")
+        path = write_spec(tmp_path, BSC_SPEC)
+        assert run(["analyze", "--spec", path, "--out", "-"]) == 2
+        assert "spec error: spec field 'budget'" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,6 +1,7 @@
 """Sources, channels, ensembles, rate functions and parameter mappings."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,8 @@ from jscthermo import (
     zeta,
     zeta_prime_neg,
 )
+from jscthermo import models
+from jscthermo.models import _SLOPE_CAP, _TiltedFamily
 
 LN2 = math.log(2.0)
 
@@ -422,3 +425,69 @@ class TestTiltedFamily:
         energies[[0, 2, 3], 2] = np.inf
         with pytest.raises(IncompatibleSupport, match="output 2"):
             _TiltedFamily(self.LOG_W, energies, self.Q)
+
+
+def bisection_tilt(family, targets):
+    """The 110-step bisection over +-_SLOPE_CAP/scale that the Newton tilt
+    solver replaced, kept as its reference."""
+    cap = _SLOPE_CAP / family.scale
+    lo = np.full(targets.shape, -cap)
+    hi = np.full(targets.shape, cap)
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        too_high = family.mean(mid) > targets
+        lo, hi = np.where(too_high, mid, lo), np.where(too_high, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def random_family(rng, kind, scale):
+    if kind == "source":
+        k = int(rng.integers(2, 7))
+        return _TiltedFamily(np.zeros(k), scale * rng.uniform(0.0, 3.0, (k, 1)), [1.0])
+    # 4 inputs, input 0 without mass; 4 outputs, output 3 never occurs
+    energies = scale * rng.uniform(0.0, 3.0, (4, 4))
+    energies[rng.random((4, 4)) < 0.3] = np.inf
+    energies[np.arange(1, 5) % 3 + 1, np.arange(4)] = scale * rng.uniform(0.0, 3.0, 4)
+    log_w = np.concatenate([[-np.inf], np.log(rng.dirichlet(np.ones(3)))])
+    q = np.concatenate([rng.dirichlet(np.ones(3)), [0.0]])
+    return _TiltedFamily(log_w, energies, q)
+
+
+class TestTiltSolver:
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+    @pytest.mark.parametrize("kind", ["source", "channel"])
+    def test_matches_bisection(self, kind, scale):
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            family = random_family(rng, kind, scale)
+            span = family.eps_hi - family.eps_lo
+            fractions = np.concatenate([[1e-9, 1e-6], np.linspace(0.0, 1.0, 41)[1:-1],
+                                        [1.0 - 1e-6, 1.0 - 1e-9]])
+            targets = family.eps_lo + span * fractions
+            ts = family.tilt(targets)
+            ref = bisection_tilt(family, targets)
+            # the mean is known to a few ulps of the energy scale, so a root
+            # is pinned down only to that error over the slope -variance
+            var = family._moments(ref)[1]
+            noise = 4.0 * np.finfo(float).eps * family.scale / var
+            assert np.all(np.abs(ts - ref) <= 1e-9 * np.abs(ref) + noise)
+            reached = np.abs(ref) < 0.999 * _SLOPE_CAP / family.scale
+            residual = np.abs(family.mean(ts) - targets)[reached]
+            assert np.all(residual <= 1e-12 * family.scale)
+            assert np.all(np.diff(ts[reached]) < 0.0)
+
+    def test_knot_table_stays_within_cell_budget(self, monkeypatch):
+        # 64 x 64 cells: the table of 259 knot tilts in one pass would hold
+        # 1.06M cells per temporary, 65 times the budget set here
+        monkeypatch.setattr(models, "_CELL_BUDGET", 1 << 14)
+        rng = np.random.default_rng(5)
+        family = _TiltedFamily(np.log(rng.dirichlet(np.ones(64))),
+                               rng.uniform(0.0, 3.0, (64, 64)), rng.dirichlet(np.ones(64)))
+        targets = family.eps_lo + (family.eps_hi - family.eps_lo) * np.array([0.2, 0.5, 0.8])
+        tracemalloc.start()
+        try:
+            family.tilt(targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * models._CELL_BUDGET * 8

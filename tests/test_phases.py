@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jscthermo import (
     NEG_INF,
@@ -311,3 +313,36 @@ class TestEnergyScaleInvariance:
             assert rep.mi_rate == pytest.approx(ref.mi_rate, rel=1e-12, abs=1e-12)
             assert rep.sigma_at_eps0 == pytest.approx(ref.sigma_at_eps0, rel=1e-12, abs=1e-12)
             assert rep.epsilon0 == pytest.approx(c * ref.epsilon0, rel=1e-12)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """A random system and the same system with its source symbols, channel
+    inputs (with the coding law) and outputs permuted."""
+    k, x, y = (draw(st.integers(2, n)) for n in (4, 3, 3))
+    energy = st.floats(0.0, 3.0)
+    src = np.array(draw(st.lists(energy, min_size=k, max_size=k)))
+    chn = np.array(draw(st.lists(st.lists(energy, min_size=y, max_size=y),
+                                 min_size=x, max_size=x)))
+    m = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=x, max_size=x)))
+    beta = draw(st.floats(0.5, 2.0))
+    lam = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
+    ps, px, py = (np.array(draw(st.permutations(range(n)))) for n in (k, x, y))
+
+    def system(src, chn, m):
+        return SystemSpec(SourceSpec(src, beta), ChannelSpec(chn, beta),
+                          EnsembleSpec(m / m.sum()), lam)
+
+    return system(src, chn, m), system(src[ps], chn[px][:, py], m[px])
+
+
+class TestRelabellingInvariance:
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(relabelled_pairs())
+    def test_report_invariant_under_relabelling(self, pair):
+        system, relabelled = pair
+        ref, rep = analyze(system), analyze(relabelled)
+        assert rep.phase is ref.phase
+        assert rep.mi_rate == pytest.approx(ref.mi_rate, rel=1e-12, abs=1e-12)
+        # a near-tie in the grid argmax may move by one total-energy step
+        assert abs(rep.epsilon0 - ref.epsilon0) <= total_entropy(system).step * (1.0 + 1e-9)
