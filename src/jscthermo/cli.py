@@ -228,6 +228,14 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _check_block_length(system: SystemSpec, n: int) -> None:
+    """SpecError on 'n' unless lambda*n is a whole number of channel letters."""
+    try:
+        system.block_length(n)
+    except ValueError as exc:
+        raise SpecError("n", str(exc)) from None
+
+
 def _cmd_simulate(args) -> int:
     if args.n < 1:
         raise SpecError("n", "need a block length of at least 1")
@@ -236,6 +244,7 @@ def _cmd_simulate(args) -> int:
     if args.seeds < 1:
         raise SpecError("seeds", "need at least one codebook seed")
     system = system_from_dict(_load_spec(args.spec))
+    _check_block_length(system, args.n)
     budget = args.budget
     formula_mi = mutual_information_rate(system, grid_size=args.grid)
     if args.seeds > 1:
@@ -341,6 +350,7 @@ def _cmd_mac(args) -> int:
     spec = _load_spec(args.spec)
     mac = mac_from_dict(spec)
     combined = mac.combined_system()
+    _check_block_length(combined, args.n)
     eps_c = zeta_prime_neg(combined)
     payload = {
         "command": "mac",
@@ -386,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE,
-                       help="grid size for tabulated functions")
+                       help="grid size of the tabulated combined entropy; sets only the "
+                            "resolution of epsilon0 and sigma_at_eps0")
         p.add_argument("--budget", type=int,
                        help="enumeration budget in (message, output) pairs")
         p.add_argument("--bits", action="store_true",

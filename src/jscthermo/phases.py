@@ -1,10 +1,14 @@
-"""Full-system analysis: combined entropy, phase, and mutual information rate.
+"""Full-system analysis: phase, mutual information rate and combined entropy.
 
-The combined entropy curve is the weighted supremal convolution of the source
-entropy with the channel rate function, enveloped and clipped at zero.  Its
-argmax against beta*eps gives the dominant energy; comparing the correct-
-codeword exponent with that supremum classifies the phase; the paramagnetic
-mutual information rate is -lambda * phi(-zeta'(beta)).
+At the spec's own temperature the phase is the sign of the entropy balance
+H(S) - lambda*I_beta, where I_beta = -zeta(beta) - beta*eps_C is the
+information per channel letter of the system family at beta: the transmitted
+message dominates the posterior (Ordered, rate H(S)) iff
+H(S) <= lambda*I_beta, and otherwise the code is paramagnetic with rate
+lambda*I_beta.  The combined entropy curve -- the weighted supremal
+convolution of the source entropy with the channel rate function, enveloped
+and clipped at zero -- is tabulated only for the reported dominant energy
+epsilon0 and the entropy there; no label or rate depends on its grid.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .models import (
     source_entropy_at,
     source_entropy_function,
     source_shannon_entropy,
+    zeta,
     zeta_prime_neg,
 )
 from .tabulated import (
@@ -34,17 +39,14 @@ from .tabulated import (
     TabulatedFunction,
     clip_nonnegative,
     concave_envelope,
+    legendre_sup,
     weighted_sup_convolution,
 )
-
-TOL_ZERO = 1e-6    # combined entropy below this at the argmax means frozen
-TOL_PHASE = 1e-7   # slack in the correct-codeword dominance comparison
 
 
 class Phase(str, Enum):
     ORDERED = "Ordered"
     PARAMAGNETIC = "Paramagnetic"
-    GLASSY = "Glassy"
 
 
 @dataclass(frozen=True)
@@ -135,31 +137,24 @@ def _convolution_table(sigma_s: ConcaveFunction, phi: ConcaveFunction,
     return TabulatedFunction(lo, hi, vals)
 
 
-class _EntropyCurves(NamedTuple):
-    sigma_s: ConcaveFunction     # source microcanonical entropy
-    phi: ConcaveFunction         # channel-energy rate function
-    raw: TabulatedFunction       # enveloped combined entropy before clipping
-    clipped: TabulatedFunction   # the typical-code entropy (negative -> NEG_INF)
-
-
 @lru_cache(maxsize=32)
-def _combined_entropy(system: SystemSpec, grid_size: int) -> _EntropyCurves:
+def _combined_entropy(system: SystemSpec, grid_size: int) -> TabulatedFunction:
+    """The enveloped combined entropy table, negative values clipped to NEG_INF."""
     sigma_s = source_entropy_function(system.source, grid_size)
     phi = channel_phi(system, grid_size)
     conv = _convolution_table(sigma_s, phi, system.lambda_value, grid_size)
     try:
-        raw = concave_envelope(conv)
+        conv = concave_envelope(conv)
     except DegenerateFunction:
-        # fewer than 3 finite points: nothing to envelope
-        raw = conv
-    return _EntropyCurves(sigma_s, phi, raw, clip_nonnegative(raw))
+        pass   # fewer than 3 finite points: nothing to envelope
+    return clip_nonnegative(conv)
 
 
 def total_entropy(system: SystemSpec, beta: Optional[float] = None,
                   grid_size: int = DEFAULT_GRID_SIZE) -> TabulatedFunction:
     """Typical-code combined entropy over the total per-particle energy."""
     sys2 = system if beta is None else system.retempered(beta)
-    return _combined_entropy(sys2, grid_size).clipped
+    return _combined_entropy(sys2, grid_size)
 
 
 def dominant_energy(system: SystemSpec, beta: Optional[float] = None,
@@ -167,71 +162,38 @@ def dominant_energy(system: SystemSpec, beta: Optional[float] = None,
                     sigma: Optional[TabulatedFunction] = None) -> DominantEnergy:
     """Grid argmax of Sigma(eps) - beta*eps, ties toward the smallest eps."""
     sys2 = system if beta is None else system.retempered(beta)
-    b = sys2.beta
     if sigma is None:
         sigma = total_entropy(sys2, grid_size=grid_size)
-    mask = sigma.finite_mask
-    if not mask.any():
+    if not sigma.finite_mask.any():
         return DominantEnergy(math.nan, NEG_INF)
-    obj = np.where(mask, sigma.values - b * sigma.grid, NEG_INF)
-    k = int(np.argmax(obj))
-    return DominantEnergy(float(sigma.x_min + k * sigma.step), float(obj[k]))
+    sup = legendre_sup(sigma, sys2.beta)
+    return DominantEnergy(sup.epsilon, sup.value)
 
 
 def analyze(system: SystemSpec, beta: Optional[float] = None,
             grid_size: int = DEFAULT_GRID_SIZE) -> PhaseReport:
-    """Classify the phase and assemble the full report at one temperature."""
+    """Classify the phase and assemble the full report at one temperature.
+
+    The label and mi_rate are exact; grid_size sets only the resolution of
+    the paramagnetic epsilon0 and of sigma_at_eps0.
+    """
     sys2 = system if beta is None else system.retempered(beta)
     b = sys2.beta
     lam = sys2.lambda_value
     h_source = source_shannon_entropy(sys2.source)
     eps_source = sys2.source.mean_energy()
     eps_channel = zeta_prime_neg(sys2)
-    z_c_rate = -b * (eps_source + lam * eps_channel) / (1.0 + lam)
-
-    curves = _combined_entropy(sys2, grid_size)
-    sigma = curves.clipped
-    mask = sigma.finite_mask
-    if mask.any():
-        obj = np.where(mask, sigma.values - b * sigma.grid, NEG_INF)
-        k = int(np.argmax(obj))
-        eps0_grid = float(sigma.x_min + k * sigma.step)
-        psi = float(obj[k])
-        sigma_at = float(sigma.values[k])
-    else:
-        k = -1
-        eps0_grid = math.nan
-        psi = NEG_INF
-        sigma_at = NEG_INF
-
-    if z_c_rate >= psi - TOL_PHASE:
-        # the transmitted message dominates the posterior
+    info = max(-zeta(sys2, b) - b * eps_channel, 0.0)   # I_beta = -phi(eps_C) >= 0
+    sigma = _combined_entropy(sys2, grid_size)
+    if h_source <= lam * info + 1e-12 * max(h_source, lam * info):
+        # the transmitted message dominates the posterior; exact ties included
+        phase, mi = Phase.ORDERED, h_source
         eps0 = (eps_source + lam * eps_channel) / (1.0 + lam)
-        return PhaseReport(Phase.ORDERED, eps0, eps_source, eps_channel,
-                           h_source, h_source, sigma.values_at(eps0))
-
-    finite_idx = np.flatnonzero(mask)
-    first, last = int(finite_idx[0]), int(finite_idx[-1])
-    clipped_edge = False
-    if k == first and k > 0 and np.isfinite(curves.raw.values[k - 1]) \
-            and curves.raw.values[k - 1] < 0.0:
-        clipped_edge = True
-    if k == last and k < sigma.size - 1 and np.isfinite(curves.raw.values[k + 1]) \
-            and curves.raw.values[k + 1] < 0.0:
-        clipped_edge = True
-
-    if sigma_at <= TOL_ZERO or clipped_edge:
-        # subexponentially many configurations dominate: frozen
-        split = weighted_sup_convolution(curves.sigma_s, curves.phi, lam, eps0_grid)
-        eps_star = split.epsilon_source if math.isfinite(split.epsilon_source) else eps_source
-        share = ((1.0 + lam) * eps0_grid - eps_star) / lam
-        return PhaseReport(Phase.GLASSY, eps0_grid, eps_star, share,
-                           h_source, h_source, sigma_at)
-
-    mi = -lam * channel_phi_at(sys2, eps_channel).value
-    mi = min(max(mi, 0.0), h_source) + 0.0   # +0.0 normalizes a signed zero
-    return PhaseReport(Phase.PARAMAGNETIC, eps0_grid, eps_source, eps_channel,
-                       mi, h_source, sigma_at)
+    else:
+        phase, mi = Phase.PARAMAGNETIC, lam * info + 0.0   # +0.0 normalizes a signed zero
+        eps0 = dominant_energy(sys2, sigma=sigma).epsilon0
+    return PhaseReport(phase, eps0, eps_source, eps_channel, mi, h_source,
+                       sigma.values_at(eps0))
 
 
 def classify_phase(system: SystemSpec, beta: Optional[float] = None,

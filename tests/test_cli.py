@@ -50,6 +50,10 @@ MAC_SPEC = {
     }
 }
 
+# lambda = 1/2: an odd N leaves half a channel letter
+HALF_RATE_SPEC = dict(BSC_SPEC, **{"lambda": {"num": 1, "den": 2}})
+HALF_RATE_MAC_SPEC = {"mac": dict(MAC_SPEC["mac"], **{"lambda": {"num": 1, "den": 2}})}
+
 
 def write_spec(tmp_path, spec, name="spec.json"):
     path = tmp_path / name
@@ -319,6 +323,12 @@ class TestDocumentedExitCodes:
         pytest.param(["wiretap", "--resolution", "0"], WIRETAP_SPEC, "resolution",
                      id="resolution-0"),
         pytest.param(["mac", "--n", "-1"], MAC_SPEC, "'n'", id="mac-n-negative"),
+        pytest.param(["simulate", "--n", "3"], HALF_RATE_SPEC, "'n'", id="n-not-multiple"),
+        pytest.param(["simulate", "--n", "3", "--trials", "200"], HALF_RATE_SPEC, "'n'",
+                     id="n-not-multiple-trials"),
+        pytest.param(["simulate", "--n", "3", "--seeds", "2"], HALF_RATE_SPEC, "'n'",
+                     id="n-not-multiple-seeds"),
+        pytest.param(["mac", "--n", "3"], HALF_RATE_MAC_SPEC, "'n'", id="mac-n-not-multiple"),
         pytest.param(["wiretap", "--steps", "0"], WIRETAP_SPEC, "steps", id="steps-0"),
         pytest.param(["wiretap", "--steps", "-3"], WIRETAP_SPEC, "steps", id="steps-negative"),
         pytest.param(["simulate", "--n", "4", "--seeds", "0"], BSC_SPEC, "seeds", id="seeds-0"),

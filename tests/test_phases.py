@@ -51,8 +51,8 @@ def matched_binary_system(q, p, lam=1, m=0.5):
     return bsc_system(p, lam=lam, m=m, source_energies=[0.0, e1])
 
 
-GLASSY_SOURCE = [0.0, 0.0, 0.6, 1.1]   # two ground states: ln 2 matches the
-                                        # fair-coin clip exactly at low T
+TWO_GROUND_SOURCE = [0.0, 0.0, 0.6, 1.1]   # two ground states: H(S) just above
+                                            # ln 2 at low T
 
 
 class TestTotalEntropy:
@@ -123,15 +123,16 @@ class TestClassifyPhase:
     def test_noisy_channel_is_paramagnetic(self):
         assert classify_phase(bsc_system(0.49)) is Phase.PARAMAGNETIC
 
-    def test_low_temperature_clip_boundary_is_glassy(self):
-        system = bsc_system(crossover := 1.0 / (1.0 + math.exp(15.0)),
-                            source_energies=GLASSY_SOURCE)
+    def test_low_temperature_clip_boundary_is_paramagnetic(self):
+        # H(S) = 0.693765 lies just above lam*C = ln2 - h2(p) = 0.693142 at
+        # beta = 15, so the rate is the channel's, never H(S) above lam*C
+        crossover = 1.0 / (1.0 + math.exp(15.0))
+        system = bsc_system(crossover, source_energies=TWO_GROUND_SOURCE)
         assert system.beta == pytest.approx(15.0)
         report = analyze(system)
-        assert report.phase is Phase.GLASSY
-        assert report.sigma_at_eps0 <= 1e-6
-        assert report.mi_rate == report.source_entropy
-        assert crossover < 1e-5
+        assert report.phase is Phase.PARAMAGNETIC
+        assert abs(report.mi_rate - (LN2 - binary_entropy(crossover))) <= 1e-12
+        assert report.mi_rate < report.source_entropy
 
     def test_boundary_prefers_ordered(self):
         # noiseless limit of a uniform binary source at lam=1 sits exactly on
@@ -346,3 +347,64 @@ class TestRelabellingInvariance:
         assert rep.mi_rate == pytest.approx(ref.mi_rate, rel=1e-12, abs=1e-12)
         # a near-tie in the grid argmax may move by one total-energy step
         assert abs(rep.epsilon0 - ref.epsilon0) <= total_entropy(system).step * (1.0 + 1e-9)
+
+
+@st.composite
+def row_normalised_systems(draw):
+    """A random source and coding law M against a row-normalised channel W
+    with energies -ln W / beta, so every input's partition sum is 1; returns
+    the system and I(M;W)."""
+    k, x, y = (draw(st.integers(2, n)) for n in (4, 3, 3))
+    src = np.array(draw(st.lists(st.floats(0.0, 6.0), min_size=k, max_size=k)))
+    w = np.exp(-np.array(draw(st.lists(st.lists(st.floats(0.0, 10.0), min_size=y, max_size=y),
+                                       min_size=x, max_size=x))))
+    w /= w.sum(axis=1, keepdims=True)
+    m = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=x, max_size=x)))
+    m /= m.sum()
+    beta = draw(st.floats(0.5, 2.0))
+    lam = draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1),
+                                Fraction(2), Fraction(3)]))
+    system = SystemSpec(SourceSpec(src, beta), ChannelSpec(-np.log(w) / beta, beta),
+                        EnsembleSpec(m), lam)
+    info = float(np.sum(m[:, None] * w * np.log(w / (m @ w))))
+    return system, info
+
+
+class TestEntropyBalance:
+    """Ordered iff H(S) <= lam*I(M;W); the rate is the smaller of the two."""
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(row_normalised_systems())
+    def test_label_and_rate_follow_the_balance(self, drawn):
+        system, info = drawn
+        p = system.source.probabilities()
+        h = float(-np.sum(p * np.log(p)))
+        lam_info = system.lambda_value * info
+        report = analyze(system)
+        assert (report.phase is Phase.ORDERED) == (h <= lam_info)
+        assert abs(report.mi_rate - min(h, lam_info)) <= 1e-12 * max(1.0, h)
+        coarse = analyze(system, grid_size=65)
+        assert (coarse.phase, coarse.mi_rate) == (report.phase, report.mi_rate)
+
+    def test_near_noiseless_channel_is_paramagnetic(self):
+        # a fair coin over BSC(1e-6): lam*C = ln2 - 1.5e-5 < H(S) = ln2, with
+        # the dominant channel energy below one grid step
+        p = 1e-6
+        report = analyze(bsc_system(p))
+        assert report.phase is Phase.PARAMAGNETIC
+        assert abs(report.mi_rate - (LN2 - binary_entropy(p))) <= 1e-12
+
+    def test_two_grid_steps_below_the_boundary_is_paramagnetic(self):
+        # a benchmark BSC with its channel energy scaled so that lam*C - H(S)
+        # is -2.1 total-energy grid steps (times beta) at the default grid
+        beta, e, lam = 1.805373805955127, 1.024465, 2
+        source = SourceSpec(np.array([0.47660580009769615, 1.0022547375984583]), beta)
+        system = SystemSpec(source, ChannelSpec(np.array([[0.0, e], [e, 0.0]]), beta),
+                            EnsembleSpec(np.array([0.5, 0.5])), Fraction(lam))
+        lam_c = lam * (LN2 - binary_entropy(1.0 / (1.0 + math.exp(beta * e))))
+        p = source.probabilities()
+        step = beta * (np.ptp(source.hamiltonian) + lam * e) / (1.0 + lam) / 4096
+        assert -2.2 * step < lam_c - float(-np.sum(p * np.log(p))) < -2.0 * step
+        report = analyze(system)
+        assert report.phase is Phase.PARAMAGNETIC
+        assert abs(report.mi_rate - lam_c) <= 1e-12
