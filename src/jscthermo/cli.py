@@ -264,13 +264,12 @@ def _cmd_simulate(args) -> int:
         rows = [[args.n, stats.num_seeds, stats.mi_mean, stats.mi_var, formula_mi, gap]]
         _emit(args, payload, header, rows)
         return 0
-    code = draw_code(system, args.n, args.seed)
     if args.trials:
-        report = mc_mi(code, args.trials, args.seed)
+        report = mc_mi(draw_code(system, args.n, args.seed, budget), args.trials, args.seed)
         mode = "mc"
     else:
         try:
-            report = exact_mi(code, budget)
+            report = exact_mi(draw_code(system, args.n, args.seed, budget), budget)
         except TooLarge as exc:
             raise TooLarge(f"{exc}; rerun with --trials INT for Monte Carlo") from exc
         mode = "exact"

@@ -1,11 +1,14 @@
 """Finite-size ground truth for randomly drawn joint source-channel codes.
 
-Codebooks are drawn with a counter-based generator (Philox), one stream per
-codeword index, so the same (system, N, seed) always rebuilds the same code
-on any platform and under any parallel schedule.  Mutual information and
-posterior statistics are computed by exhaustive enumeration over messages and
-channel outputs, or by seeded Monte Carlo when enumeration is out of budget.
-All partition arithmetic runs in log space.
+Codebooks are drawn with a counter-based generator, Philox-4x64-10 (Salmon et
+al., SC'11), with one stream per codeword index and one per Monte Carlo
+trial, so the same (system, N, seed) always rebuilds the same code on any
+platform and under any parallel schedule.  The streams are evaluated for many
+keys at once in numpy uint64 arithmetic and give the same bits as
+numpy.random.Philox.  Mutual information and posterior statistics are computed
+by exhaustive enumeration over messages and channel outputs, or by seeded
+Monte Carlo when enumeration is out of budget.  All partition arithmetic runs
+in log space.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.random import Philox
 
 from .errors import ImpossibleOutput, TooLarge
 from .models import SystemSpec, logsumexp, source_shannon_entropy
@@ -25,6 +27,16 @@ DEFAULT_ENUM_BUDGET = 1 << 26   # (message, output) pairs
 _CHUNK_CELLS = 1 << 22          # matrix cells processed per chunk
 _MC_STREAM_BASE = 1 << 63       # Monte Carlo streams live above codeword streams
 _MC_BATCH_CELLS = 1 << 17       # (trial, message) cells scored per batch
+_DRAW_CELLS = 1 << 17           # codebook letters drawn per chunk
+
+# Philox-4x64 round multipliers and key bumps; np.uint64 throughout keeps the
+# arithmetic in wrapping uint64 under every numpy promotion rule
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_BUMP0 = np.uint64(0x9E3779B97F4A7C15)
+_PHILOX_BUMP1 = np.uint64(0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 def derive_seed(base: int, index: int) -> int:
@@ -35,12 +47,42 @@ def derive_seed(base: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
-def _uniforms(key_hi: int, key_lo: int, count: int) -> np.ndarray:
-    """53-bit uniforms from the Philox stream keyed by (key_hi, key_lo)."""
-    bits = Philox(key=np.array([key_lo & 0xFFFFFFFFFFFFFFFF,
-                                key_hi & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
-    raw = bits.random_raw(count)
-    return (raw >> np.uint64(11)) * (2.0 ** -53)
+def _mulhilo(m: np.uint64, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Low and high words of the 128-bit products m * x, from 32-bit halves."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    hi_lo = m_hi * x_lo
+    lo_hi = m_lo * x_hi
+    carry = (((m_lo * x_lo) >> _SHIFT32) + (hi_lo & _LOW32) + (lo_hi & _LOW32)) >> _SHIFT32
+    return m * x, m_hi * x_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32) + carry
+
+
+def _philox_raw(key_hi: int, key_lo, count: int) -> np.ndarray:
+    """First `count` words of numpy.random.Philox(key=[lo, key_hi]) for each lo.
+
+    Philox-4x64-10 evaluated for every key in key_lo at once; the result is
+    uint64 with shape np.shape(key_lo) + (count,).
+    """
+    k0 = np.asarray(key_lo).astype(np.uint64)[..., None]
+    k1 = np.full_like(k0, key_hi & 0xFFFFFFFFFFFFFFFF)
+    blocks = -(-count // 4)
+    # numpy.random.Philox bumps its counter before each block of four words
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64) + np.zeros_like(k0)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            k0 = k0 + _PHILOX_BUMP0
+            k1 = k1 + _PHILOX_BUMP1
+        lo0, hi0 = _mulhilo(_PHILOX_M0, c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1)
+    return words.reshape(c0.shape[:-1] + (4 * blocks,))[..., :count]
+
+
+def _uniforms(key_hi: int, key_lo, count: int) -> np.ndarray:
+    """53-bit uniforms from the Philox streams keyed by (key_hi, each key_lo)."""
+    return (_philox_raw(key_hi, key_lo, count) >> np.uint64(11)) * (2.0 ** -53)
 
 
 def _sample_letters(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -114,8 +156,10 @@ def draw_code(system: SystemSpec, N: int, seed: int,
     cum = np.cumsum(system.ensemble.coding_dist)
     cum[-1] = 1.0
     book = np.empty((num, n), dtype=np.int64)
-    for msg in range(num):
-        book[msg] = _sample_letters(cum, _uniforms(seed, msg, n))
+    rows = max(1, _DRAW_CELLS // max(n, 1))
+    for a in range(0, num, rows):
+        b = min(a + rows, num)
+        book[a:b] = _sample_letters(cum, _uniforms(seed, np.arange(a, b), n))
     return CodeInstance(system, N, n, seed, book)
 
 
@@ -242,8 +286,13 @@ def exact_mi(code: CodeInstance, budget: Optional[int] = None) -> OracleReport:
 
     log_w = _log_w(code)
     log_prior = _message_log_prior(code)
-    chunk = max(1, _CHUNK_CELLS // num_y)
+    chunk = min(num_s, max(1, _CHUNK_CELLS // num_y))
     floor = np.finfo(float).min
+    # each chunk's joint is (prior + first half) + second half, from two
+    # cascades over |Y|^(n/2) outputs, written into buffers reused across chunks
+    half = code.n // 2
+    joint_buf = np.empty(chunk * num_y)
+    e_buf = np.empty(chunk * num_y)
 
     # one pass over message chunks; with e = exp(joint - peak) per output y,
     # sum e gives P(y), sum e^2 gives sum_s P(s,y)^2 and sum e*joint gives
@@ -253,10 +302,15 @@ def exact_mi(code: CodeInstance, budget: Optional[int] = None) -> OracleReport:
     mean_log_joint = 0.0
     for a in range(0, num_s, chunk):
         letters = code.codebook[a:a + chunk]
-        joint = _output_cascade(log_prior[a:a + chunk, None], log_w, letters)
+        rows = letters.shape[0]
+        head = _output_cascade(log_prior[a:a + rows, None], log_w, letters[:, :half])
+        tail = _output_cascade(np.zeros((rows, 1)), log_w, letters[:, half:])
+        joint = joint_buf[:rows * num_y].reshape(rows, num_y)
+        np.add(head[:, :, None], tail[:, None, :], out=joint.reshape(rows, head.shape[1], -1))
         peak = np.max(joint, axis=0)
         peak[~np.isfinite(peak)] = 0.0
-        e = np.exp(joint - peak)
+        e = np.subtract(joint, peak, out=e_buf[:rows * num_y].reshape(rows, num_y))
+        np.exp(e, out=e)
         with np.errstate(divide="ignore"):
             log_py = np.logaddexp(log_py, np.log(np.sum(e, axis=0)) + peak)
             log_py_sq = np.logaddexp(log_py_sq,
@@ -358,8 +412,8 @@ def mc_mi(code: CodeInstance, trials: int, seed: int) -> OracleReport:
     truth_mass = np.empty(trials)
     for a in range(0, trials, batch):
         stop = min(a + batch, trials)
-        u = np.stack([_uniforms(seed, _MC_STREAM_BASE + t, code.N + code.n)
-                      for t in range(a, stop)])
+        streams = np.uint64(_MC_STREAM_BASE) + np.arange(a, stop, dtype=np.uint64)
+        u = _uniforms(seed, streams, code.N + code.n)
         # counting cumulative weights <= u is searchsorted(side="right")
         idx = (cum_src <= u[:, :code.N, None]).sum(axis=-1) @ powers
         y = (cum_w[code.codebook[idx]] <= u[:, code.N:, None]).sum(axis=-1)

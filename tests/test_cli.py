@@ -188,6 +188,12 @@ class TestSimulate:
                     "--budget", "1000", "--out", "-"]) == 3
         assert "trials" in capsys.readouterr().err
 
+    def test_budget_bounds_the_monte_carlo_codebook(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, BSC_SPEC)
+        assert run(["simulate", "--spec", spec, "--n", "10", "--seed", "0",
+                    "--trials", "100", "--budget", "100", "--out", "-"]) == 3
+        assert "exceeds budget 100" in capsys.readouterr().err
+
     def test_env_budget_override(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path, BSC_SPEC)
         monkeypatch.setenv("JSC_BUDGET", "1000")
@@ -201,8 +207,9 @@ class TestSimulate:
     def test_monte_carlo_mode(self, tmp_path, report_schema):
         spec = write_spec(tmp_path, BSC_SPEC)
         out = tmp_path / "mc.json"
+        # 4096 pairs hold the 256x8 codebook but not the 256x256 enumeration
         assert run(["simulate", "--spec", spec, "--n", "8", "--seed", "3",
-                    "--trials", "400", "--budget", "1000", "--out", str(out)]) == 0
+                    "--trials", "400", "--budget", "4096", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         report_schema(payload)
         assert payload["mode"] == "mc"

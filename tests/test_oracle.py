@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jscthermo import (
     ChannelSpec,
@@ -31,8 +33,8 @@ from jscthermo import (
 from jscthermo import oracle
 from jscthermo.models import logsumexp
 from jscthermo.oracle import (_CHUNK_CELLS, _MC_STREAM_BASE, _log_w, _message_log_prior,
-                              _message_source_energy, _output_cascade, _sample_letters,
-                              _uniforms)
+                              _message_source_energy, _output_cascade, _philox_raw,
+                              _sample_letters, _uniforms)
 
 
 def bsc_system(p, lam=1, m=0.5, source_energies=None):
@@ -57,6 +59,58 @@ def erasure_system(lam=1):
 
 
 INJECTIVE_SEED = 0   # draw_code(noiseless_system(), N=3, seed=0) is injective
+
+
+def philox_reference(key_hi, key_lo, count):
+    """numpy.random.Philox keyed by (key_hi, key_lo), one generator per key."""
+    return np.random.Philox(key=np.array([key_lo & 0xFFFFFFFFFFFFFFFF,
+                                          key_hi & 0xFFFFFFFFFFFFFFFF],
+                                         dtype=np.uint64)).random_raw(count)
+
+
+def draw_code_per_codeword(system, N, seed):
+    """The codebook drawn one codeword at a time from its own generator."""
+    n = system.block_length(N)
+    cum = np.cumsum(system.ensemble.coding_dist)
+    cum[-1] = 1.0
+    book = np.empty((system.source.alphabet_size ** N, n), dtype=np.int64)
+    for msg in range(book.shape[0]):
+        raw = philox_reference(seed, msg, n)
+        book[msg] = np.searchsorted(cum, (raw >> np.uint64(11)) * (2.0 ** -53), side="right")
+    return book
+
+
+class TestPhilox:
+    KEYS_LO = [0, 1, 7, 4095, (1 << 63) - 1, _MC_STREAM_BASE, _MC_STREAM_BASE + 999,
+               (1 << 64) - 1]
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 25])
+    @pytest.mark.parametrize("key_hi", [0, 12, -1, -7919, (1 << 63) + 3, (1 << 64) - 1])
+    def test_matches_numpy_philox_bit_for_bit(self, key_hi, count):
+        raw = _philox_raw(key_hi, np.array(self.KEYS_LO, dtype=np.uint64), count)
+        assert raw.dtype == np.uint64
+        assert raw.shape == (len(self.KEYS_LO), count)
+        for row, key_lo in zip(raw, self.KEYS_LO):
+            want = philox_reference(key_hi, key_lo, count)
+            np.testing.assert_array_equal(row, want)
+            np.testing.assert_array_equal(_uniforms(key_hi, key_lo, count),
+                                          (want >> np.uint64(11)) * (2.0 ** -53))
+
+    def test_signed_key_lo_wraps_like_the_mask(self):
+        np.testing.assert_array_equal(_philox_raw(3, np.array([-1, -2]), 5),
+                                      _philox_raw(3, np.array([(1 << 64) - 1, (1 << 64) - 2],
+                                                              dtype=np.uint64), 5))
+
+    @pytest.mark.parametrize("N", [1, 4, 9])
+    @pytest.mark.parametrize("coding", [[0.3, 0.7], [0.2, 0.5, 0.3]], ids=["binary", "ternary"])
+    def test_codebook_matches_per_codeword_draw(self, coding, N):
+        x = len(coding)
+        system = SystemSpec(SourceSpec(np.array([0.0, 0.4]), 1.0),
+                            ChannelSpec(np.ones((x, 2)) - np.eye(x, 2), 1.0),
+                            EnsembleSpec(np.array(coding)), Fraction(1))
+        for seed in (0, -5, 1 << 63):
+            np.testing.assert_array_equal(draw_code(system, N, seed).codebook,
+                                          draw_code_per_codeword(system, N, seed))
 
 
 class TestDrawCode:
@@ -217,6 +271,18 @@ class TestExactMi:
         assert report.energy_split_channel == pytest.approx(e_chn, abs=1e-12)
         assert report.z_c_fraction == pytest.approx(z_c, abs=1e-12)
 
+    def test_enumeration_memory_is_bounded(self):
+        # 4096 x 4096 pairs in four chunks; one joint buffer and one buffer
+        # of exp(joint - peak), reused across chunks
+        code = draw_code(bsc_system(0.2), 12, seed=4)
+        tracemalloc.start()
+        try:
+            exact_mi(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * _CHUNK_CELLS * 8
+
     def test_budget_guard_suggests_monte_carlo(self):
         code = draw_code(bsc_system(0.2), 8, seed=0)
         with pytest.raises(TooLarge):
@@ -347,6 +413,36 @@ class TestMonteCarlo:
         code = draw_code(bsc_system(0.25), 5, seed=13)
         with pytest.raises(ValueError):
             mc_mi(code, 50, seed=0)
+
+
+@st.composite
+def small_codes(draw):
+    """A random source, coding law and channel, some transitions forbidden
+    (E = +inf), with a codebook of N <= 6 and n <= 6."""
+    k, x, y = (draw(st.integers(2, 3)) for _ in range(3))
+    src = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k)))
+    energy = st.one_of(st.floats(0.0, 3.0), st.just(np.inf))
+    chn = np.array(draw(st.lists(st.lists(energy, min_size=y, max_size=y),
+                                 min_size=x, max_size=x)))
+    # every input keeps at least one allowed output
+    chn[np.arange(x), draw(st.lists(st.integers(0, y - 1), min_size=x, max_size=x))] = 0.0
+    m = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=x, max_size=x)))
+    lam = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
+    N = draw(st.sampled_from([N for N in range(1, 7) if (lam * N).denominator == 1
+                              and lam * N <= 6]))
+    beta = draw(st.floats(0.5, 2.0))
+    system = SystemSpec(SourceSpec(src, beta), ChannelSpec(chn, beta),
+                        EnsembleSpec(m / m.sum()), lam)
+    return draw_code(system, N, draw(st.integers(-1000, 1000)))
+
+
+class TestMonteCarloAgreesWithExact:
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @given(small_codes(), st.integers(0, 1 << 20))
+    def test_within_five_stderr(self, code, seed):
+        exact = exact_mi(code)
+        mc = mc_mi(code, 400, seed)
+        assert abs(mc.mi_per_symbol - exact.mi_per_symbol) <= 5.0 * mc.stderr + 1e-12
 
 
 class TestEnsembleStats:
