@@ -4,8 +4,8 @@ The wiretap side evaluates the rate-versus-leakage curve Gamma(R), its fixed
 point (the secrecy capacity) and the equivocation guaranteed by a random code
 operating above the eavesdropper's capacity.  The multiple-access side
 computes the per-user mutual information rate from the conditional and
-unconditional channel-energy rate functions, with an exact two-codebook
-enumeration oracle for small blocks.
+unconditional channel-energy rate functions; its exact finite-size oracle
+runs oracle.exact_mi on the product of the two users' codebooks.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .models import (
     PhiPoint,
     SourceSpec,
     SystemSpec,
+    _as_number,
     _log_m,
     _TiltedFamily,
     channel_from_dict,
@@ -40,8 +41,15 @@ from .models import (
     source_shannon_entropy,
     zeta_prime_neg,
 )
-from .oracle import DEFAULT_ENUM_BUDGET, derive_seed, draw_code
-from .phases import Phase, analyze, mutual_information_rate
+from .oracle import (
+    DEFAULT_ENUM_BUDGET,
+    CodeInstance,
+    _message_log_prior,
+    derive_seed,
+    draw_code,
+    exact_mi,
+)
+from .phases import Phase, classify_phase, mutual_information_rate
 from .tabulated import DEFAULT_GRID_SIZE, ConcaveFunction
 
 _ENTROPY_EPS = 1e-300
@@ -213,8 +221,7 @@ def max_main_rate(spec: WiretapSpec, resolution: int = 1000) -> float:
 
 
 def equivocation_bound(spec: WiretapSpec, eavesdrop_system: SystemSpec,
-                       beta: Optional[float] = None, resolution: int = 1000,
-                       grid_size: int = DEFAULT_GRID_SIZE) -> float:
+                       beta: Optional[float] = None, resolution: int = 1000) -> float:
     """Guaranteed H(S|Z) per source symbol for a code above tap capacity.
 
     The eavesdrop system models the codeword process against the cascade
@@ -232,7 +239,7 @@ def equivocation_bound(spec: WiretapSpec, eavesdrop_system: SystemSpec,
     if rate_per_use <= cap + 1e-12:
         raise NotAboveCapacity(
             f"code rate {rate_per_use:.6g} nats/use does not exceed tap capacity {cap:.6g}")
-    leaked = mutual_information_rate(eavesdrop_system, beta, grid_size)
+    leaked = mutual_information_rate(eavesdrop_system, beta)
     return min(max(h_code - leaked, 0.0), spec.source_entropy)
 
 
@@ -256,8 +263,8 @@ class MacChannelSpec:
         finite = np.isfinite(e)
         if not finite.reshape(-1, e.shape[2]).any(axis=1).all():
             raise ValueError("every input pair needs one allowed output")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         e = e - e[finite].min()
         e.setflags(write=False)
         object.__setattr__(self, "hamiltonian", e)
@@ -338,16 +345,16 @@ def mac_phi_conditional_at(spec: MacSpec, epsilon: float) -> PhiPoint:
     return _conditional_family(spec).at(epsilon)
 
 
-def mac_mi_user(spec: MacSpec, grid_size: int = DEFAULT_GRID_SIZE) -> float:
+def mac_mi_user(spec: MacSpec) -> float:
     """Mutual information rate between user S and the output, in nats/symbol.
 
     lam * [phi(eps_C* | S) - phi(eps_C*)] at the dominant channel energy,
     valid in the paramagnetic phase of the combined system.
     """
     combined = spec.combined_system()
-    report = analyze(combined, grid_size=grid_size)
-    if report.phase is not Phase.PARAMAGNETIC:
-        raise PhaseMismatch(f"combined system is {report.phase.value}, not Paramagnetic")
+    phase = classify_phase(combined)
+    if phase is not Phase.PARAMAGNETIC:
+        raise PhaseMismatch(f"combined system is {phase.value}, not Paramagnetic")
     eps_c = zeta_prime_neg(combined)
     cond = mac_phi_conditional_at(spec, eps_c).value
     joint = channel_phi_at(combined, eps_c).value
@@ -366,63 +373,39 @@ def mac_oracle(spec: MacSpec, N: int, seed: int,
 
     Codebooks for the two users are drawn on independent derived streams;
     user S's stream seed is derive_seed(seed, 1) and user T's derive_seed(seed, 2).
+    Every quantity comes from exact_mi: I(S,T;Y) on the product code over the
+    combined system, I(T;Y|S) averaged over user S's messages with x_S(s)
+    held fixed, and I(S;Y) as their difference.
     """
     budget = DEFAULT_ENUM_BUDGET if budget is None else budget
-    lam = Fraction(spec.lam)
-    n_frac = lam * N
-    if n_frac.denominator != 1:
-        raise ValueError(f"lambda*N = {n_frac} is not an integer")
-    n = int(n_frac)
+    combined = spec.combined_system()
+    n = combined.block_length(N)
     ks_src = spec.source_s.alphabet_size
     kt_src = spec.source_t.alphabet_size
-    ky = spec.channel.shape[2]
-    num_s, num_t, num_y = ks_src ** N, kt_src ** N, ky ** n
+    num_s, num_t, num_y = ks_src ** N, kt_src ** N, spec.channel.shape[2] ** n
     if num_s * num_t * num_y > budget:
         raise TooLarge(f"enumeration {num_s}x{num_t}x{num_y} exceeds budget {budget}")
 
     sys_s = SystemSpec(spec.source_s, ChannelSpec(
-        np.zeros((spec.ensemble_s.size, 2)), spec.beta), spec.ensemble_s, lam)
+        np.zeros((spec.ensemble_s.size, 2)), spec.beta), spec.ensemble_s, spec.lam)
     sys_t = SystemSpec(spec.source_t, ChannelSpec(
-        np.zeros((spec.ensemble_t.size, 2)), spec.beta), spec.ensemble_t, lam)
-    book_s = draw_code(sys_s, N, derive_seed(seed, 1), budget).codebook
+        np.zeros((spec.ensemble_t.size, 2)), spec.beta), spec.ensemble_t, spec.lam)
+    code_s = draw_code(sys_s, N, derive_seed(seed, 1), budget)
     book_t = draw_code(sys_t, N, derive_seed(seed, 2), budget).codebook
 
-    w = spec.channel.flattened().transition_matrix().reshape(*spec.channel.shape)
-    p_s = _block_prior(spec.source_s, N, num_s)
-    p_t = _block_prior(spec.source_t, N, num_t)
+    # product codewords carry the letters x_S * |X_T| + x_T, in the combined
+    # message order, whose digits interleave s_1 t_1 s_2 t_2 ...
+    kx_t = spec.ensemble_t.size
+    pairs = (code_s.codebook[:, None, :] * kx_t + book_t[None, :, :]).reshape(-1, n)
+    order = np.arange(num_s * num_t).reshape([ks_src] * N + [kt_src] * N)
+    order = order.transpose(np.arange(2 * N).reshape(2, N).T.ravel()).ravel()
+    mi_joint = exact_mi(CodeInstance(combined, N, n, seed, pairs[order]), budget).mi_per_symbol
 
-    # W(y-block | s, t) for every message pair, built coordinate by coordinate
-    cond = np.ones((num_s, num_t, 1))
-    for i in range(n):
-        step = w[book_s[:, i][:, None], book_t[:, i][None, :]]   # (num_s, num_t, ky)
-        cond = cond[:, :, :, None] * step[:, :, None, :]
-        cond = cond.reshape(num_s, num_t, -1)
-
-    def _row_entropies(arr: np.ndarray) -> np.ndarray:
-        safe = np.where(arr > 0.0, arr, 1.0)
-        return -np.sum(np.where(arr > 0.0, arr * np.log(safe), 0.0), axis=-1)
-
-    p_y = np.einsum("s,t,sty->y", p_s, p_t, cond)
-    h_y = _entropy(p_y)
-    p_y_given_s = np.einsum("t,sty->sy", p_t, cond)
-    h_y_given_s = float(np.dot(p_s, _row_entropies(p_y_given_s)))
-    h_y_given_st = float(np.einsum("s,t,st->", p_s, p_t, _row_entropies(cond)))
-    return MacOracleReport(
-        mi_s=(h_y - h_y_given_s) / N,
-        mi_t_given_s=(h_y_given_s - h_y_given_st) / N,
-        mi_joint=(h_y - h_y_given_st) / N,
-    )
-
-
-def _block_prior(source: SourceSpec, N: int, num: int) -> np.ndarray:
-    p = source.probabilities()
-    k = source.alphabet_size
-    out = np.ones(num)
-    idx = np.arange(num)
-    for _ in range(N):
-        out = out * p[idx % k]
-        idx = idx // k
-    return out
+    given_s = SystemSpec(spec.source_t, combined.channel, combined.ensemble, spec.lam)
+    mi_t_given_s = float(np.dot(np.exp(_message_log_prior(code_s)), [
+        exact_mi(CodeInstance(given_s, N, n, seed, x_s * kx_t + book_t), budget).mi_per_symbol
+        for x_s in code_s.codebook]))
+    return MacOracleReport(mi_joint - mi_t_given_s, mi_t_given_s, mi_joint)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +420,9 @@ def wiretap_from_dict(obj: dict) -> WiretapSpec:
     tap = channel_from_dict(block.get("tap", {}), "wiretap.tap")
     lam = parse_lambda(block, "wiretap")
     if "source_entropy" in block:
-        h = block["source_entropy"]
-        if isinstance(h, bool) or not isinstance(h, (int, float)) or h < 0:
+        h = _as_number(block["source_entropy"], "wiretap.source_entropy")
+        if h < 0:
             raise SpecError("wiretap.source_entropy", "expected a nonnegative number")
-        h = float(h)
     elif "binary_source" in block or "source" in block:
         h = source_shannon_entropy(source_from_dict(block, "wiretap"))
     else:
@@ -465,11 +447,9 @@ def mac_from_dict(obj: dict) -> MacSpec:
     tensor = block.get("channel3")
     if tensor is None:
         raise SpecError("mac.channel3", "missing")
-    beta = block.get("beta", source_s.beta)
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
-        raise SpecError("mac.beta", "expected a number")
+    beta = _as_number(block.get("beta", source_s.beta), "mac.beta")
     try:
-        channel = MacChannelSpec(np.asarray(tensor, dtype=float), float(beta))
+        channel = MacChannelSpec(np.asarray(tensor, dtype=float), beta)
     except (ValueError, TypeError) as exc:
         raise SpecError("mac.channel3", str(exc)) from exc
     ks, kt, _ = channel.shape

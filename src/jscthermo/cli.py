@@ -246,7 +246,7 @@ def _cmd_simulate(args) -> int:
     system = system_from_dict(_load_spec(args.spec))
     _check_block_length(system, args.n)
     budget = args.budget
-    formula_mi = mutual_information_rate(system, grid_size=args.grid)
+    formula_mi = mutual_information_rate(system)
     if args.seeds > 1:
         stats = ensemble_stats(system, args.n, args.seeds, args.seed, budget)
         gap = abs(stats.mi_mean - formula_mi)
@@ -335,8 +335,7 @@ def _cmd_wiretap(args) -> int:
     }
     eaves = _eavesdrop_system(spec.get("wiretap", {}), wt, wt.lam)
     if eaves is not None:
-        payload["equivocation"] = equivocation_bound(wt, eaves, resolution=resolution,
-                                                     grid_size=args.grid)
+        payload["equivocation"] = equivocation_bound(wt, eaves, resolution=resolution)
     header = ["rate", "gamma", "c_s"]
     rows = [[entry["rate"], entry["gamma"], c_s] for entry in table]
     _emit(args, payload, header, rows)
@@ -353,7 +352,7 @@ def _cmd_mac(args) -> int:
     eps_c = zeta_prime_neg(combined)
     payload = {
         "command": "mac",
-        "mi_user_s": mac_mi_user(mac, grid_size=args.grid),
+        "mi_user_s": mac_mi_user(mac),
         "eps_channel": eps_c,
         "phi_conditional": mac_phi_conditional_at(mac, eps_c).value,
         "phi_joint": channel_phi_at(combined, eps_c).value,
@@ -389,24 +388,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Thermodynamic analysis of random joint source-channel codes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
+    def common(p: argparse.ArgumentParser, grid: bool = False):
         p.add_argument("--spec", required=True, help="JSON system description")
         p.add_argument("--out", default="-", help="output file, '-' for stdout")
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE,
-                       help="grid size of the tabulated combined entropy; sets only the "
-                            "resolution of epsilon0 and sigma_at_eps0")
         p.add_argument("--budget", type=int,
                        help="enumeration budget in (message, output) pairs")
         p.add_argument("--bits", action="store_true",
                        help="report information quantities in bits")
+        if grid:   # only analyze reports depend on the tabulation
+            p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE,
+                           help="grid size of the tabulated combined entropy; sets only the "
+                                "resolution of epsilon0 and sigma_at_eps0")
 
     p = sub.add_parser("analyze", help="single-point phase and rate report")
-    common(p)
+    common(p, grid=True)
 
     p = sub.add_parser("sweep", help="one analyze row per axis value")
-    common(p)
+    common(p, grid=True)
     p.add_argument("--axis", help="dotted path of a numeric spec field, e.g. bsc.p")
     p.add_argument("--from", dest="start", type=float)
     p.add_argument("--to", dest="stop", type=float)
@@ -444,7 +444,7 @@ def main(argv=None) -> int:
         "mac": _cmd_mac,
     }
     try:
-        if args.grid < 3:
+        if "grid" in args and args.grid < 3:
             raise SpecError("grid", "need at least 3 grid points")
         args.budget = _budget(args.budget)
         return handlers[args.command](args)

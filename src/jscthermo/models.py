@@ -10,8 +10,8 @@ the closed-form crossover/bias parameter mappings and binary convolution.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -114,8 +114,8 @@ class SourceSpec:
             raise ValueError("source needs at least 2 symbols")
         if not np.isfinite(e).all():
             raise ValueError("source energies must be finite")
-        if self.beta <= 0:
-            raise ValueError("source beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("source beta must be positive and finite")
         e = e - e.min()
         e.setflags(write=False)
         object.__setattr__(self, "hamiltonian", e)
@@ -346,8 +346,8 @@ class ChannelSpec:
         finite = np.isfinite(e)
         if not finite.any(axis=1).all():
             raise ValueError("every input needs at least one allowed output")
-        if self.beta <= 0:
-            raise ValueError("channel beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("channel beta must be positive and finite")
         e = e - e[finite].min()
         e.setflags(write=False)
         object.__setattr__(self, "hamiltonian", e)
@@ -388,7 +388,7 @@ class EnsembleSpec:
         m = np.asarray(self.coding_dist, dtype=float)
         if m.ndim != 1 or m.size < 1:
             raise ValueError("coding distribution must be a vector")
-        if (m < 0).any() or abs(m.sum() - 1.0) > 1e-9:
+        if (m < 0).any() or not abs(m.sum() - 1.0) <= 1e-9:   # NaN fails too
             raise ValueError("coding distribution must be a probability vector")
         m = m / m.sum()
         m.setflags(write=False)
@@ -517,6 +517,8 @@ def _require(obj: dict, field: str, context: str = ""):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(path, "expected a number")
+    if not abs(value) <= sys.float_info.max:   # NaN, infinities, ints past any double
+        raise SpecError(path, "expected a finite number")
     return float(value)
 
 
@@ -553,10 +555,10 @@ def source_from_dict(obj: dict, context: str = "") -> SourceSpec:
             raise SpecError(f"{path}.q", "must lie in (0, 1)")
         try:
             b = field_from_bias(q, k_t)
-        except (OutOfRange, InvalidTemperature) as exc:
+            # symbols (0, 1) carry spin (-1, +1); energies -spin*B, shifted to min 0
+            return SourceSpec(np.array([b, -b]), 1.0 / k_t)
+        except ValueError as exc:
             raise SpecError(path, str(exc)) from exc
-        # symbols (0, 1) carry spin (-1, +1); energies -spin*B, shifted to min 0
-        return SourceSpec(np.array([b, -b]), 1.0 / k_t)
     raise SpecError(f"{context}.source" if context else "source", "missing")
 
 
@@ -579,12 +581,11 @@ def channel_from_dict(obj: dict, context: str = "") -> ChannelSpec:
         k_t = _as_number(block.get("kT", 1.0), f"{path}.kT")
         if not 0.0 < p < 1.0:
             raise SpecError(f"{path}.p", "must lie in (0, 1)")
-        if p == 0.5:
-            e0 = 0.0
-        else:
+        try:
             e0 = energy_from_crossover(p, k_t)
-        ham = np.array([[0.0, e0], [e0, 0.0]])
-        return ChannelSpec(ham, 1.0 / k_t)
+            return ChannelSpec(np.array([[0.0, e0], [e0, 0.0]]), 1.0 / k_t)
+        except ValueError as exc:
+            raise SpecError(path, str(exc)) from exc
     raise SpecError(f"{context}.channel" if context else "channel", "missing")
 
 
@@ -612,12 +613,3 @@ def system_from_dict(obj: dict) -> SystemSpec:
         return SystemSpec(source, channel, ensemble, lam)
     except ValueError as exc:
         raise SpecError("system", str(exc)) from exc
-
-
-def load_system(path: str) -> SystemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError("json", str(exc)) from exc
-    return system_from_dict(obj)

@@ -170,6 +170,21 @@ def dominant_energy(system: SystemSpec, beta: Optional[float] = None,
     return DominantEnergy(sup.epsilon, sup.value)
 
 
+def _entropy_balance(system: SystemSpec, beta: Optional[float] = None):
+    """(phase, mi_rate, H(S), eps_C) from the sign of H(S) - lambda*I_beta."""
+    sys2 = system if beta is None else system.retempered(beta)
+    b = sys2.beta
+    h_source = source_shannon_entropy(sys2.source)
+    eps_channel = zeta_prime_neg(sys2)
+    # lambda*I_beta, with I_beta = -phi(eps_C) >= 0
+    info = sys2.lambda_value * max(-zeta(sys2, b) - b * eps_channel, 0.0)
+    if h_source <= info + 1e-12 * max(h_source, info):
+        # the transmitted message dominates the posterior; exact ties included
+        return Phase.ORDERED, h_source, h_source, eps_channel
+    # +0.0 normalizes a signed zero
+    return Phase.PARAMAGNETIC, info + 0.0, h_source, eps_channel
+
+
 def analyze(system: SystemSpec, beta: Optional[float] = None,
             grid_size: int = DEFAULT_GRID_SIZE) -> PhaseReport:
     """Classify the phase and assemble the full report at one temperature.
@@ -178,33 +193,25 @@ def analyze(system: SystemSpec, beta: Optional[float] = None,
     the paramagnetic epsilon0 and of sigma_at_eps0.
     """
     sys2 = system if beta is None else system.retempered(beta)
-    b = sys2.beta
     lam = sys2.lambda_value
-    h_source = source_shannon_entropy(sys2.source)
+    phase, mi, h_source, eps_channel = _entropy_balance(sys2)
     eps_source = sys2.source.mean_energy()
-    eps_channel = zeta_prime_neg(sys2)
-    info = max(-zeta(sys2, b) - b * eps_channel, 0.0)   # I_beta = -phi(eps_C) >= 0
     sigma = _combined_entropy(sys2, grid_size)
-    if h_source <= lam * info + 1e-12 * max(h_source, lam * info):
-        # the transmitted message dominates the posterior; exact ties included
-        phase, mi = Phase.ORDERED, h_source
+    if phase is Phase.ORDERED:
         eps0 = (eps_source + lam * eps_channel) / (1.0 + lam)
     else:
-        phase, mi = Phase.PARAMAGNETIC, lam * info + 0.0   # +0.0 normalizes a signed zero
         eps0 = dominant_energy(sys2, sigma=sigma).epsilon0
     return PhaseReport(phase, eps0, eps_source, eps_channel, mi, h_source,
                        sigma.values_at(eps0))
 
 
-def classify_phase(system: SystemSpec, beta: Optional[float] = None,
-                   grid_size: int = DEFAULT_GRID_SIZE) -> Phase:
-    return analyze(system, beta, grid_size).phase
+def classify_phase(system: SystemSpec, beta: Optional[float] = None) -> Phase:
+    return _entropy_balance(system, beta)[0]
 
 
-def mutual_information_rate(system: SystemSpec, beta: Optional[float] = None,
-                            grid_size: int = DEFAULT_GRID_SIZE) -> float:
+def mutual_information_rate(system: SystemSpec, beta: Optional[float] = None) -> float:
     """Nats of mutual information per source symbol for the typical code."""
-    return analyze(system, beta, grid_size).mi_rate
+    return _entropy_balance(system, beta)[1]
 
 
 def energy_split(system: SystemSpec, beta: Optional[float] = None,

@@ -203,7 +203,7 @@ def _random_paramagnetic_systems(count=20):
         lam = Fraction(int(rng.integers(1, 3)))
         beta = float(rng.uniform(0.6, 1.8))
         system = SystemSpec(source, channel, EnsembleSpec(m), lam).retempered(beta)
-        if classify_phase(system, grid_size=1025) is Phase.PARAMAGNETIC:
+        if classify_phase(system) is Phase.PARAMAGNETIC:
             systems.append(system)
     return systems
 
@@ -259,16 +259,34 @@ def test_criterion_08_energy_split_concentration():
     assert system.source.probabilities()[1] == pytest.approx(q)
 
     def split_stats(code):
-        joint = _output_cascade(_message_log_prior(code)[:, None],
-                                _log_w(code), code.codebook)
-        probs = np.exp(joint)
-        p_y = probs.sum(axis=0)
-        post = probs / p_y[None, :]
+        # per message chunk, P(s, y) and E_C(x(s), y) over all outputs are
+        # each built from two half-length cascades; the sums over s of P(s, y)
+        # and of P(s, y) times each energy give the posterior means per y
+        log_prior = _message_log_prior(code)
         e_src = _message_source_energy(code)
-        e_chn = _output_cascade(np.zeros((code.num_messages, 1)),
-                                code.system.channel.hamiltonian, code.codebook)
-        src = (post * e_src[:, None]).sum(axis=0) / code.N
-        chn = (post * e_chn).sum(axis=0) / code.n
+        log_w = _log_w(code)
+        e_c = code.system.channel.hamiltonian
+        half = code.n // 2
+        num_y = code.system.channel.out_size ** code.n
+        chunk = max(1, (1 << 20) // num_y)
+        p_y = np.zeros(num_y)
+        src_num = np.zeros(num_y)
+        chn_num = np.zeros(num_y)
+
+        def both_halves(start, per_letter, letters):
+            head = _output_cascade(start, per_letter, letters[:, :half])
+            tail = _output_cascade(np.zeros_like(start), per_letter, letters[:, half:])
+            return (head[:, :, None] + tail[:, None, :]).reshape(len(letters), -1)
+
+        for a in range(0, code.num_messages, chunk):
+            letters = code.codebook[a:a + chunk]
+            probs = np.exp(both_halves(log_prior[a:a + chunk, None], log_w, letters))
+            p_y += probs.sum(axis=0)
+            src_num += e_src[a:a + chunk] @ probs
+            chn_num += np.einsum("sy,sy->y", probs,
+                                 both_halves(np.zeros((len(letters), 1)), e_c, letters))
+        src = src_num / p_y / code.N
+        chn = chn_num / p_y / code.n
         deviation = float((p_y * np.hypot(src - q, chn - p)).sum())
         return float((p_y * src).sum()), float((p_y * chn).sum()), deviation
 

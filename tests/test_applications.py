@@ -1,6 +1,7 @@
 """Wiretap secrecy quantities and the two-user additive channel."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from jscthermo import (
     system_from_dict,
     tap_capacity,
 )
+from jscthermo import oracle
 
 LN2 = math.log(2.0)
 h2 = binary_entropy
@@ -312,6 +314,90 @@ class TestMacOracle:
     def test_deterministic(self):
         spec = additive_mac(0.2, 0.3, 0.15)
         assert mac_oracle(spec, 3, seed=1) == mac_oracle(spec, 3, seed=1)
+
+
+def _row_entropies(arr):
+    safe = np.where(arr > 0.0, arr, 1.0)
+    return -np.sum(np.where(arr > 0.0, arr * np.log(safe), 0.0), axis=-1)
+
+
+def _block_prior(source, N):
+    p = source.probabilities()
+    idx = np.arange(source.alphabet_size ** N)
+    out = np.ones(idx.size)
+    for _ in range(N):
+        out = out * p[idx % source.alphabet_size]
+        idx = idx // source.alphabet_size
+    return out
+
+
+def full_array_mac_oracle(spec, N, seed):
+    """Reference: W(y-block | s, t) for every message pair in one array."""
+    n = int(spec.lam * N)
+    books = []
+    for index, (source, ensemble) in enumerate(
+            [(spec.source_s, spec.ensemble_s), (spec.source_t, spec.ensemble_t)], 1):
+        system = SystemSpec(source, ChannelSpec(np.zeros((ensemble.size, 2)), spec.beta),
+                            ensemble, spec.lam)
+        books.append(draw_code(system, N, derive_seed(seed, index)).codebook)
+    book_s, book_t = books
+    w = spec.channel.flattened().transition_matrix().reshape(*spec.channel.shape)
+    cond = np.ones((book_s.shape[0], book_t.shape[0], 1))
+    for i in range(n):
+        step = w[book_s[:, i][:, None], book_t[:, i][None, :]]
+        cond = (cond[:, :, :, None] * step[:, :, None, :]).reshape(*cond.shape[:2], -1)
+    p_s = _block_prior(spec.source_s, N)
+    p_t = _block_prior(spec.source_t, N)
+    h_y = float(_row_entropies(np.einsum("s,t,sty->y", p_s, p_t, cond)))
+    h_y_given_s = float(np.dot(p_s, _row_entropies(np.einsum("t,sty->sy", p_t, cond))))
+    h_y_given_st = float(np.einsum("s,t,st->", p_s, p_t, _row_entropies(cond)))
+    return ((h_y - h_y_given_s) / N, (h_y_given_s - h_y_given_st) / N,
+            (h_y - h_y_given_st) / N)
+
+
+def four_letter_source_mac():
+    p = 0.15
+    beta = math.log((1.0 - p) / p)
+    base = additive_mac(0.2, 0.3, p)
+    return MacSpec(SourceSpec(np.array([0.0, 0.4, 1.1, 0.7]), beta),
+                   SourceSpec(np.array([0.0, 0.5]), beta),
+                   base.ensemble_s, base.ensemble_t, base.channel, Fraction(1))
+
+
+def zero_input_mac():
+    # three S inputs, one never used; two T inputs; three outputs, one forbidden pair
+    rng = np.random.default_rng(11)
+    energies = rng.uniform(0.0, 2.0, size=(3, 2, 3))
+    energies[1, 0, 2] = np.inf
+    return MacSpec(SourceSpec(np.array([0.0, 0.3]), 1.0), SourceSpec(np.array([0.2, 0.0]), 1.0),
+                   EnsembleSpec(np.array([0.6, 0.0, 0.4])), EnsembleSpec(np.array([0.25, 0.75])),
+                   MacChannelSpec(energies, 1.0), Fraction(1))
+
+
+class TestMacOracleAgainstFullArray:
+    @pytest.mark.parametrize("make_spec", [
+        pytest.param(lambda: additive_mac(0.2, 0.3, 0.15), id="binary-xor"),
+        pytest.param(four_letter_source_mac, id="four-letter-source"),
+        pytest.param(zero_input_mac, id="zero-probability-input"),
+    ])
+    @pytest.mark.parametrize("num", [1, 2, 3, 4, 6])
+    def test_matches_full_array_enumeration(self, make_spec, num):
+        spec = make_spec()
+        report = mac_oracle(spec, num, seed=5)
+        expected = full_array_mac_oracle(spec, num, seed=5)
+        np.testing.assert_allclose(
+            [report.mi_s, report.mi_t_given_s, report.mi_joint], expected, rtol=0, atol=1e-12)
+
+    def test_memory_stays_within_three_chunks(self):
+        # the full (|S|^N, |T|^N, |Y|^n) array alone would be 2^24 doubles
+        spec = additive_mac(0.2, 0.3, 0.15)
+        tracemalloc.start()
+        try:
+            mac_oracle(spec, 8, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * oracle._CHUNK_CELLS * 8
 
 
 class TestChannelMutualInformation:

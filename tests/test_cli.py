@@ -282,6 +282,12 @@ class TestMac:
         spec = write_spec(tmp_path, bad)
         assert run(["mac", "--spec", spec, "--out", "-"]) == 4
 
+    def test_oracle_budget_exhaustion_exits_3(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, MAC_SPEC)
+        assert run(["mac", "--spec", spec, "--n", "8", "--budget", "1000",
+                    "--out", "-"]) == 3
+        assert "exceeds budget" in capsys.readouterr().err
+
 
 class TestDeterminismAcrossCommands:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -343,11 +349,42 @@ class TestDocumentedExitCodes:
                      id="seeds-negative"),
         pytest.param(["simulate", "--n", "4", "--budget", "-5"], BSC_SPEC, "budget",
                      id="budget-negative"),
+        # Python's json reads NaN and Infinity; a spec must not pass them on
+        pytest.param(["analyze"], {**BSC_SPEC, "channel": {
+            "hamiltonian": [[0.0, 1.0], [1.0, 0.0]], "beta": math.inf}}, "'channel.beta'",
+            id="channel-beta-infinity"),
+        pytest.param(["analyze"], {**BSC_SPEC, "source": {
+            "hamiltonian": [0.0, 0.5], "beta": math.nan}}, "'source.beta'",
+            id="source-beta-nan"),
+        pytest.param(["analyze"], {**BSC_SPEC, "binary_source": {"q": 0.5, "kT": math.inf}},
+                     "'binary_source.kT'", id="binary-source-kt-infinity"),
+        pytest.param(["analyze"], {**BSC_SPEC, "bsc": {"p": 0.1, "kT": math.nan}}, "'bsc.kT'",
+                     id="bsc-kt-nan"),
+        # 1/kT overflows to an infinite beta
+        pytest.param(["analyze"], {**BSC_SPEC, "binary_source": {"q": 0.5, "kT": 5e-324}},
+                     "'binary_source'", id="binary-source-kt-subnormal"),
+        pytest.param(["analyze"], {**BSC_SPEC, "ensemble": {"m": [math.nan, 0.5]}},
+                     "'ensemble.m'", id="ensemble-nan"),
+        pytest.param(["mac"], {"mac": {**MAC_SPEC["mac"], "beta": math.nan}}, "'mac.beta'",
+                     id="mac-beta-nan"),
+        pytest.param(["wiretap"], {"wiretap": {**WIRETAP_SPEC["wiretap"],
+                                               "source_entropy": math.nan}},
+                     "'wiretap.source_entropy'", id="source-entropy-nan"),
     ])
     def test_bad_size_exits_2(self, tmp_path, capsys, args, spec, field):
         path = write_spec(tmp_path, spec)
         assert run(args + ["--spec", path, "--out", "-"]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", ["--n", "2"]), ("wiretap", []), ("mac", []),
+    ])
+    def test_grid_belongs_to_analyze_and_sweep(self, tmp_path, capsys, command, extra):
+        path = write_spec(tmp_path, BSC_SPEC)
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--spec", path, "--grid", "1025"] + extra)
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
 
     def test_non_integer_env_budget_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("JSC_BUDGET", "abc")

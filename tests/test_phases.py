@@ -267,7 +267,7 @@ class TestPhaseTransitionSweep:
         phases = []
         ps = np.round(np.linspace(0.01, 0.49, 49), 6)
         for p in ps:
-            phases.append(classify_phase(bsc_system(p, lam=lam), grid_size=1025))
+            phases.append(classify_phase(bsc_system(p, lam=lam)))
         labels = [ph.value for ph in phases]
         flips = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
         assert len(flips) == 1
