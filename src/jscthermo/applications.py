@@ -405,7 +405,9 @@ def mac_oracle(spec: MacSpec, N: int, seed: int,
     mi_t_given_s = float(np.dot(np.exp(_message_log_prior(code_s)), [
         exact_mi(CodeInstance(given_s, N, n, seed, x_s * kx_t + book_t), budget).mi_per_symbol
         for x_s in code_s.codebook]))
-    return MacOracleReport(mi_joint - mi_t_given_s, mi_t_given_s, mi_joint)
+    # the difference, kept in [0, I(S,T;Y)] against rounding
+    mi_s = min(max(0.0, mi_joint - mi_t_given_s), mi_joint)
+    return MacOracleReport(mi_s, mi_t_given_s, mi_joint)
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,7 @@ def exact_mi(code: CodeInstance, budget: Optional[int] = None) -> OracleReport:
     return OracleReport(
         h_s=h_s,
         h_s_given_y=h_s_given_y_total / code.N,
-        mi_per_symbol=(h_y - h_y_given_s) / code.N,
+        mi_per_symbol=max(0.0, (h_y - h_y_given_s) / code.N),   # rounding can dip below 0
         stderr=0.0,
         energy_split_source=src_energy / code.N,
         energy_split_channel=chan_energy / code.n,

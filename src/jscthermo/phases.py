@@ -43,6 +43,8 @@ from .tabulated import (
     weighted_sup_convolution,
 )
 
+_BLOCK_CELLS = 1 << 14   # (totals x source indices) cells in one block's temporaries
+
 
 class Phase(str, Enum):
     ORDERED = "Ordered"
@@ -88,7 +90,10 @@ def _convolution_table(sigma_s: ConcaveFunction, phi: ConcaveFunction,
     For each total energy the objective over the source-energy grid is
     concave with a contiguous feasible interval, so a coarse scan plus a
     one-stride refinement finds the exact grid argmax (smallest-index ties
-    included).
+    included).  The scans run block by block over consecutive totals, each
+    block's temporaries holding at most about _BLOCK_CELLS cells, so memory
+    grows linearly with grid_size; every row's arithmetic is the same as in
+    one pass over the whole table.
     """
     s_span = sigma_s.support_range()
     p_span = phi.support_range()
@@ -116,24 +121,26 @@ def _convolution_table(sigma_s: ConcaveFunction, phi: ConcaveFunction,
     b_idx = np.floor((hi_eps - sigma_s.x_min) / h + 1e-9).astype(int)
     a_idx = np.clip(a_idx, s_first, s_last)
     b_idx = np.clip(b_idx, s_first, s_last)
-    empty = a_idx > b_idx
 
     coarse = 128
     j = np.arange(coarse + 1)
     span = (b_idx - a_idx).astype(float)
-    coarse_idx = a_idx[:, None] + np.round(j[None, :] * span[:, None] / coarse).astype(int)
-    coarse_idx = np.clip(coarse_idx, s_first, s_last)
-    obj = _convolution_objective(sigma_s, phi, lam, totals, coarse_idx)
-    best = coarse_idx[np.arange(grid_size), np.argmax(obj, axis=1)]
-
     stride = np.maximum(np.ceil(span / coarse).astype(int), 1)
-    width = int(stride.max()) * 2 + 5
+    width = int(stride.max()) * 2 + 5   # one refinement width for the whole table
     offsets = np.arange(width) - (width // 2)
-    fine_idx = np.clip(best[:, None] + offsets[None, :], a_idx[:, None], b_idx[:, None])
-    obj = _convolution_objective(sigma_s, phi, lam, totals, fine_idx)
-    pick = np.argmax(obj, axis=1)
-    vals = obj[np.arange(grid_size), pick]
-    vals[empty] = NEG_INF
+    rows = max(1, _BLOCK_CELLS // max(coarse + 1, width))
+    vals = np.empty(grid_size)
+    for start in range(0, grid_size, rows):
+        blk = slice(start, start + rows)
+        a_blk = a_idx[blk, None]
+        coarse_idx = a_blk + np.round(j[None, :] * span[blk, None] / coarse).astype(int)
+        coarse_idx = np.clip(coarse_idx, s_first, s_last)
+        obj = _convolution_objective(sigma_s, phi, lam, totals[blk], coarse_idx)
+        best = np.take_along_axis(coarse_idx, np.argmax(obj, axis=1)[:, None], axis=1)
+        fine_idx = np.clip(best + offsets, a_blk, b_idx[blk, None])
+        obj = _convolution_objective(sigma_s, phi, lam, totals[blk], fine_idx)
+        vals[blk] = np.take_along_axis(obj, np.argmax(obj, axis=1)[:, None], axis=1)[:, 0]
+    vals[a_idx > b_idx] = NEG_INF
     return TabulatedFunction(lo, hi, vals)
 
 

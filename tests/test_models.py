@@ -1,7 +1,6 @@
 """Sources, channels, ensembles, rate functions and parameter mappings."""
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -476,7 +475,7 @@ class TestTiltSolver:
             assert np.all(residual <= 1e-12 * family.scale)
             assert np.all(np.diff(ts[reached]) < 0.0)
 
-    def test_knot_table_stays_within_cell_budget(self, monkeypatch):
+    def test_knot_table_stays_within_cell_budget(self, monkeypatch, traced_peak):
         # 64 x 64 cells: the table of 259 knot tilts in one pass would hold
         # 1.06M cells per temporary, 65 times the budget set here
         monkeypatch.setattr(models, "_CELL_BUDGET", 1 << 14)
@@ -484,10 +483,5 @@ class TestTiltSolver:
         family = _TiltedFamily(np.log(rng.dirichlet(np.ones(64))),
                                rng.uniform(0.0, 3.0, (64, 64)), rng.dirichlet(np.ones(64)))
         targets = family.eps_lo + (family.eps_hi - family.eps_lo) * np.array([0.2, 0.5, 0.8])
-        tracemalloc.start()
-        try:
-            family.tilt(targets)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(family.tilt, targets)
         assert peak <= 8 * models._CELL_BUDGET * 8

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -271,16 +270,11 @@ class TestExactMi:
         assert report.energy_split_channel == pytest.approx(e_chn, abs=1e-12)
         assert report.z_c_fraction == pytest.approx(z_c, abs=1e-12)
 
-    def test_enumeration_memory_is_bounded(self):
+    def test_enumeration_memory_is_bounded(self, traced_peak):
         # 4096 x 4096 pairs in four chunks; one joint buffer and one buffer
         # of exp(joint - peak), reused across chunks
         code = draw_code(bsc_system(0.2), 12, seed=4)
-        tracemalloc.start()
-        try:
-            exact_mi(code)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(exact_mi, code)
         assert peak <= 2.5 * _CHUNK_CELLS * 8
 
     def test_budget_guard_suggests_monte_carlo(self):
@@ -373,16 +367,11 @@ class TestMonteCarlo:
         for field, value in want.items():
             assert got[field] == pytest.approx(value, abs=1e-12), field
 
-    def test_batched_scoring_memory_is_bounded(self):
+    def test_batched_scoring_memory_is_bounded(self, traced_peak):
         # 32,768 messages; tables over coordinate blocks sized per output
         # letter with no cap would take about 25M cells (200 MB)
         code = draw_code(bsc_system(0.2), 15, seed=4)
-        tracemalloc.start()
-        try:
-            mc_mi(code, 100, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(mc_mi, code, 100, seed=5)
         assert peak <= 2 * _CHUNK_CELLS * 8
 
     def test_noiseless_estimate_is_exactly_zero(self):

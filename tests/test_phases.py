@@ -30,6 +30,8 @@ from jscthermo import (
     channel_phi,
     total_entropy,
 )
+from jscthermo import phases
+from jscthermo.tabulated import TabulatedFunction, weighted_sup_convolution
 
 LN2 = math.log(2.0)
 
@@ -89,6 +91,137 @@ class TestTotalEntropy:
         assert np.isneginf(sigma.values).any()
         finite = sigma.values[np.isfinite(sigma.values)]
         assert np.all(finite >= 0.0)
+
+
+def one_shot_convolution_table(sigma_s, phi, lam, grid_size):
+    """Reference: phases._convolution_table with every total in one pass."""
+    s_span = sigma_s.support_range()
+    p_span = phi.support_range()
+    lo = (s_span[0] + lam * p_span[0]) / (1.0 + lam)
+    hi = (s_span[1] + lam * p_span[1]) / (1.0 + lam)
+    if hi - lo <= 1e-12 * hi:
+        vals = np.full(grid_size, NEG_INF)
+        vals[0] = weighted_sup_convolution(sigma_s, phi, lam, lo).value
+        return TabulatedFunction(lo, lo + 1.0, vals)
+    grid = np.linspace(lo, hi, grid_size)
+    totals = (1.0 + lam) * grid
+    h = sigma_s.step
+    s_first, s_last = sigma_s.support_indices()
+    lo_eps = np.maximum.reduce([np.full(grid_size, sigma_s.x_min + s_first * h),
+                                totals - lam * p_span[1],
+                                np.zeros(grid_size)])
+    hi_eps = np.minimum.reduce([np.full(grid_size, sigma_s.x_min + s_last * h),
+                                totals - lam * p_span[0],
+                                totals])
+    a_idx = np.ceil((lo_eps - sigma_s.x_min) / h - 1e-9).astype(int)
+    b_idx = np.floor((hi_eps - sigma_s.x_min) / h + 1e-9).astype(int)
+    a_idx = np.clip(a_idx, s_first, s_last)
+    b_idx = np.clip(b_idx, s_first, s_last)
+    empty = a_idx > b_idx
+
+    coarse = 128
+    j = np.arange(coarse + 1)
+    span = (b_idx - a_idx).astype(float)
+    coarse_idx = a_idx[:, None] + np.round(j[None, :] * span[:, None] / coarse).astype(int)
+    coarse_idx = np.clip(coarse_idx, s_first, s_last)
+    obj = phases._convolution_objective(sigma_s, phi, lam, totals, coarse_idx)
+    best = coarse_idx[np.arange(grid_size), np.argmax(obj, axis=1)]
+
+    stride = np.maximum(np.ceil(span / coarse).astype(int), 1)
+    width = int(stride.max()) * 2 + 5
+    offsets = np.arange(width) - (width // 2)
+    fine_idx = np.clip(best[:, None] + offsets[None, :], a_idx[:, None], b_idx[:, None])
+    obj = phases._convolution_objective(sigma_s, phi, lam, totals, fine_idx)
+    pick = np.argmax(obj, axis=1)
+    vals = obj[np.arange(grid_size), pick]
+    vals[empty] = NEG_INF
+    return TabulatedFunction(lo, hi, vals)
+
+
+# the lambdas of perfbench's phase-sweep workload
+SWEEP_LAMBDAS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
+
+
+def uniform_system(source, beta, channel, lam=1):
+    channel = np.array(channel, dtype=float)
+    return SystemSpec(SourceSpec(np.array(source, dtype=float), beta),
+                      ChannelSpec(channel, beta),
+                      EnsembleSpec(np.full(channel.shape[0], 1.0 / channel.shape[0])),
+                      Fraction(lam))
+
+
+TABLE_SYSTEMS = {
+    "circulant": lambda: uniform_system([0.0, 0.7, 2.1], 1.3,
+                                        [[0.0, 1.1, 2.6], [2.6, 0.0, 1.1], [1.1, 2.6, 0.0]]),
+    "erasure": lambda: uniform_system([0.2, 1.5, 0.0, 2.4], 0.8,
+                                      [[0.0, 0.9, math.inf], [math.inf, 0.9, 0.0]]),
+    # flat source and useless channel: both supports are the point 0
+    "one-point": lambda: uniform_system([0.0, 0.0, 0.0], 1.0, [[0.0, 0.0], [0.0, 0.0]]),
+}
+
+
+def sweep_round(seed):
+    """The 12 systems of one phase-sweep round: source sizes 2-4 against
+    BSC, circulant and erasure channels, with beta*E in perfbench's ranges."""
+    systems = []
+    for i, (k, family) in enumerate((k, f) for k in (2, 3, 4)
+                                    for f in ("bsc", "circulant3", "circulant4", "erasure")):
+        rng = np.random.default_rng([seed, i])
+        beta = float(rng.uniform(0.5, 2.0))
+        source = rng.uniform(0.0, 3.0, size=k) / beta
+        if family == "bsc":
+            e = rng.uniform(0.3, 4.0) / beta
+            channel = [[0.0, e], [e, 0.0]]
+        elif family == "erasure":
+            a = rng.uniform(-1.5, 2.5) / beta
+            channel = [[0.0, a, math.inf], [math.inf, a, 0.0]]
+        else:
+            q = int(family[-1])
+            row = [0.0] + list(rng.uniform(0.3, 4.0, size=q - 1) / beta)
+            channel = [[row[(y - x) % q] for y in range(q)] for x in range(q)]
+        lam = SWEEP_LAMBDAS[int(rng.integers(len(SWEEP_LAMBDAS)))]
+        systems.append(uniform_system(source, beta, channel, lam))
+    return systems
+
+
+def assert_tables_identical(system, grid_size):
+    sigma_s = source_entropy_function(system.source, grid_size)
+    phi = channel_phi(system, grid_size)
+    for lam in SWEEP_LAMBDAS:
+        got = phases._convolution_table(sigma_s, phi, float(lam), grid_size)
+        want = one_shot_convolution_table(sigma_s, phi, float(lam), grid_size)
+        assert (got.x_min, got.x_max) == (want.x_min, want.x_max), lam
+        assert got.values.tobytes() == want.values.tobytes(), lam
+
+
+class TestBlockedConvolutionTable:
+    @pytest.mark.parametrize("grid_size", [3, 5, 1025, 4097, 16385])
+    @pytest.mark.parametrize("name", sorted(TABLE_SYSTEMS))
+    def test_matches_one_pass_table_bitwise(self, name, grid_size):
+        assert_tables_identical(TABLE_SYSTEMS[name](), grid_size)
+
+    @pytest.mark.parametrize("grid_size, rows", [(5, 2), (1025, 4)])
+    @pytest.mark.parametrize("name", ["circulant", "erasure"])
+    def test_small_blocks_split_the_table(self, monkeypatch, name, grid_size, rows):
+        # the coarse scan is 129 cells wide and the refinement narrower at
+        # these sizes, so blocks hold `rows` totals and the last block one
+        monkeypatch.setattr(phases, "_BLOCK_CELLS", rows * 129)
+        assert (grid_size - 1) % rows == 0
+        assert_tables_identical(TABLE_SYSTEMS[name](), grid_size)
+
+
+class TestAnalyzeMemory:
+    @pytest.mark.parametrize("grid_size, limit_mib", [(4097, 8), (16385, 24)])
+    def test_sweep_round_peak_stays_small(self, traced_peak, grid_size, limit_mib):
+        # the tables of all totals in one pass peaked at 45 MiB (grid 4097)
+        # and 397 MiB (grid 16385)
+        systems = sweep_round(seed=3)
+
+        def run():
+            for system in systems:
+                analyze(system, grid_size=grid_size)
+
+        assert traced_peak(run) <= limit_mib * 2**20
 
 
 class TestDominantEnergy:
