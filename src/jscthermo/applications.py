@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,12 +31,14 @@ from .models import (
     SourceSpec,
     SystemSpec,
     _as_number,
+    _ByContent,
     _log_m,
     _TiltedFamily,
     channel_from_dict,
     channel_phi_at,
     ensemble_from_dict,
     parse_lambda,
+    same_temperature,
     source_from_dict,
     source_shannon_entropy,
     zeta_prime_neg,
@@ -86,8 +88,8 @@ def _simplex_grid(dim: int, steps: int) -> np.ndarray:
     raise ValueError("exhaustive grid only for up to 3 inputs")
 
 
-@dataclass(frozen=True)
-class WiretapSpec:
+@dataclass(frozen=True, eq=False)
+class WiretapSpec(_ByContent):
     """Main channel followed by a tap channel, at lam uses per source symbol."""
 
     main_channel: ChannelSpec
@@ -221,7 +223,7 @@ def max_main_rate(spec: WiretapSpec, resolution: int = 1000) -> float:
 
 
 def equivocation_bound(spec: WiretapSpec, eavesdrop_system: SystemSpec,
-                       beta: Optional[float] = None, resolution: int = 1000) -> float:
+                       resolution: int = 1000) -> float:
     """Guaranteed H(S|Z) per source symbol for a code above tap capacity.
 
     The eavesdrop system models the codeword process against the cascade
@@ -232,14 +234,14 @@ def equivocation_bound(spec: WiretapSpec, eavesdrop_system: SystemSpec,
     w_casc = spec.cascade().transition_matrix()
     if w_eaves.shape != w_casc.shape or not np.allclose(w_eaves, w_casc, atol=1e-9):
         raise ValueError("eavesdrop system must run over the cascade channel")
-    h_code = source_shannon_entropy(eavesdrop_system.source, beta)
+    h_code = source_shannon_entropy(eavesdrop_system.source)
     lam = float(eavesdrop_system.lam)
     rate_per_use = h_code / lam
     cap = tap_capacity(spec, resolution)
     if rate_per_use <= cap + 1e-12:
         raise NotAboveCapacity(
             f"code rate {rate_per_use:.6g} nats/use does not exceed tap capacity {cap:.6g}")
-    leaked = mutual_information_rate(eavesdrop_system, beta)
+    leaked = mutual_information_rate(eavesdrop_system)
     return min(max(h_code - leaked, 0.0), spec.source_entropy)
 
 
@@ -247,9 +249,12 @@ def equivocation_bound(spec: WiretapSpec, eavesdrop_system: SystemSpec,
 # Two-user multiple access
 
 
-@dataclass(frozen=True)
-class MacChannelSpec:
-    """Memoryless two-input channel, W(y|xs,xt) prop. exp(-beta*E(xs,xt,y))."""
+@dataclass(frozen=True, eq=False)
+class MacChannelSpec(_ByContent):
+    """Memoryless two-input channel, W(y|xs,xt) prop. exp(-beta*E(xs,xt,y)).
+
+    Validated and shifted as the ChannelSpec whose inputs are the input pairs.
+    """
 
     hamiltonian: np.ndarray   # shape (|Xs|, |Xt|, |Y|), +inf allowed
     beta: float
@@ -258,16 +263,8 @@ class MacChannelSpec:
         e = np.asarray(self.hamiltonian, dtype=float)
         if e.ndim != 3 or e.shape[2] < 2:
             raise ValueError("need a 3-d energy tensor with at least 2 outputs")
-        if np.isnan(e).any() or np.isneginf(e).any():
-            raise ValueError("energies must be finite or +inf")
-        finite = np.isfinite(e)
-        if not finite.reshape(-1, e.shape[2]).any(axis=1).all():
-            raise ValueError("every input pair needs one allowed output")
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError("beta must be positive and finite")
-        e = e - e[finite].min()
-        e.setflags(write=False)
-        object.__setattr__(self, "hamiltonian", e)
+        flat = ChannelSpec(e.reshape(-1, e.shape[2]), self.beta)
+        object.__setattr__(self, "hamiltonian", flat.hamiltonian.reshape(e.shape))
 
     @property
     def shape(self):
@@ -279,8 +276,8 @@ class MacChannelSpec:
         return ChannelSpec(self.hamiltonian.reshape(ks * kt, ky), self.beta)
 
 
-@dataclass(frozen=True)
-class MacSpec:
+@dataclass(frozen=True, eq=False)
+class MacSpec(_ByContent):
     """Two independent sources and codebooks feeding one two-input channel."""
 
     source_s: SourceSpec
@@ -297,9 +294,8 @@ class MacSpec:
         ks, kt, _ = self.channel.shape
         if self.ensemble_s.size != ks or self.ensemble_t.size != kt:
             raise ValueError("ensemble sizes must match the channel inputs")
-        tol = 1e-12 * max(1.0, self.source_s.beta)
-        if abs(self.source_s.beta - self.source_t.beta) > tol or \
-                abs(self.source_s.beta - self.channel.beta) > tol:
+        if not (same_temperature(self.source_s.beta, self.source_t.beta)
+                and same_temperature(self.source_s.beta, self.channel.beta)):
             raise ValueError("sources and channel must share one inverse temperature")
 
     @property
@@ -368,7 +364,7 @@ class MacOracleReport(NamedTuple):
 
 
 def mac_oracle(spec: MacSpec, N: int, seed: int,
-               budget: Optional[int] = None) -> MacOracleReport:
+               budget: int = DEFAULT_ENUM_BUDGET) -> MacOracleReport:
     """Exact I(S;Y), I(T;Y|S), I(S,T;Y) per source symbol at block length N.
 
     Codebooks for the two users are drawn on independent derived streams;
@@ -377,7 +373,6 @@ def mac_oracle(spec: MacSpec, N: int, seed: int,
     combined system, I(T;Y|S) averaged over user S's messages with x_S(s)
     held fixed, and I(S;Y) as their difference.
     """
-    budget = DEFAULT_ENUM_BUDGET if budget is None else budget
     combined = spec.combined_system()
     n = combined.block_length(N)
     ks_src = spec.source_s.alphabet_size

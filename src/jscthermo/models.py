@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -90,8 +90,29 @@ def field_from_bias(q: float, k_t: float) -> float:
     return 0.5 * k_t * math.log(q / (1.0 - q))
 
 
+def same_temperature(a: float, b: float) -> bool:
+    """Whether two positive inverse temperatures agree to 1e-12 of their size."""
+    return abs(a - b) <= 1e-12 * max(a, b)
+
+
+class _ByContent:
+    """Equality and hashing of a frozen spec field by field; arrays compare
+    by shape and bytes, so equal specs always hash equal."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in values)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 @dataclass(frozen=True, eq=False)
-class SourceSpec:
+class SourceSpec(_ByContent):
     """Memoryless source with P(s) proportional to exp(-beta * E(s)).
 
     The Hamiltonian is shifted so its minimum is 0; the shift cancels in
@@ -100,13 +121,6 @@ class SourceSpec:
 
     hamiltonian: np.ndarray
     beta: float
-
-    def __eq__(self, other):
-        return (isinstance(other, SourceSpec) and self.beta == other.beta
-                and np.array_equal(self.hamiltonian, other.hamiltonian))
-
-    def __hash__(self):
-        return hash((self.beta, self.hamiltonian.tobytes()))
 
     def __post_init__(self):
         e = np.asarray(self.hamiltonian, dtype=float)
@@ -127,29 +141,25 @@ class SourceSpec:
     def retempered(self, beta: float) -> "SourceSpec":
         return SourceSpec(self.hamiltonian, beta)
 
-    def probabilities(self, beta: Optional[float] = None) -> np.ndarray:
-        b = self.beta if beta is None else beta
-        logits = -b * self.hamiltonian
+    def probabilities(self) -> np.ndarray:
+        logits = -self.beta * self.hamiltonian
         return np.exp(logits - logsumexp(logits))
 
-    def log_partition(self, beta: Optional[float] = None) -> float:
-        b = self.beta if beta is None else beta
-        return float(logsumexp(-b * self.hamiltonian))
+    def log_partition(self) -> float:
+        return source_log_partition(self, self.beta)
 
-    def mean_energy(self, beta: Optional[float] = None) -> float:
-        b = self.beta if beta is None else beta
-        return float(np.dot(self.probabilities(b), self.hamiltonian))
+    def mean_energy(self) -> float:
+        return float(np.dot(self.probabilities(), self.hamiltonian))
 
 
 def source_log_partition(source: SourceSpec, beta: float) -> float:
-    """Per-letter log partition function psi_S(beta)."""
-    return source.log_partition(beta)
+    """Per-letter log partition function psi_S(beta), at any slope beta."""
+    return float(logsumexp(-beta * source.hamiltonian))
 
 
-def source_shannon_entropy(source: SourceSpec, beta: Optional[float] = None) -> float:
+def source_shannon_entropy(source: SourceSpec) -> float:
     """Per-symbol Shannon entropy in nats: psi(beta) + beta * mean energy."""
-    b = source.beta if beta is None else beta
-    return source.log_partition(b) + b * source.mean_energy(b)
+    return source.log_partition() + source.beta * source.mean_energy()
 
 
 class PhiPoint(NamedTuple):
@@ -318,7 +328,7 @@ def source_entropy_at(source: SourceSpec, epsilon: float) -> EntropyPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelSpec:
+class ChannelSpec(_ByContent):
     """DMC with W(y|x) proportional to exp(-beta * E(x, y)).
 
     E may contain +inf for forbidden transitions (W = 0).  A single global
@@ -329,13 +339,6 @@ class ChannelSpec:
 
     hamiltonian: np.ndarray
     beta: float
-
-    def __eq__(self, other):
-        return (isinstance(other, ChannelSpec) and self.beta == other.beta
-                and np.array_equal(self.hamiltonian, other.hamiltonian))
-
-    def __hash__(self):
-        return hash((self.beta, self.hamiltonian.shape, self.hamiltonian.tobytes()))
 
     def __post_init__(self):
         e = np.asarray(self.hamiltonian, dtype=float)
@@ -363,26 +366,18 @@ class ChannelSpec:
     def retempered(self, beta: float) -> "ChannelSpec":
         return ChannelSpec(self.hamiltonian, beta)
 
-    def transition_matrix(self, beta: Optional[float] = None) -> np.ndarray:
-        b = self.beta if beta is None else beta
-        logits = np.where(np.isfinite(self.hamiltonian), -b * self.hamiltonian, -np.inf)
+    def transition_matrix(self) -> np.ndarray:
+        logits = np.where(np.isfinite(self.hamiltonian), -self.beta * self.hamiltonian, -np.inf)
         w = np.exp(logits - logsumexp(logits, axis=1)[:, None])
         w[~np.isfinite(self.hamiltonian)] = 0.0
         return w
 
 
 @dataclass(frozen=True, eq=False)
-class EnsembleSpec:
+class EnsembleSpec(_ByContent):
     """Per-letter law under which codeword coordinates are drawn i.i.d."""
 
     coding_dist: np.ndarray
-
-    def __eq__(self, other):
-        return (isinstance(other, EnsembleSpec)
-                and np.array_equal(self.coding_dist, other.coding_dist))
-
-    def __hash__(self):
-        return hash(self.coding_dist.tobytes())
 
     def __post_init__(self):
         m = np.asarray(self.coding_dist, dtype=float)
@@ -400,7 +395,7 @@ class EnsembleSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class SystemSpec:
+class SystemSpec(_ByContent):
     """Source + channel + coding ensemble + bandwidth expansion factor.
 
     Source and channel share one inverse temperature; lam is the (rational)
@@ -412,14 +407,6 @@ class SystemSpec:
     ensemble: EnsembleSpec
     lam: Fraction
 
-    def __eq__(self, other):
-        return (isinstance(other, SystemSpec) and self.source == other.source
-                and self.channel == other.channel and self.ensemble == other.ensemble
-                and self.lam == other.lam)
-
-    def __hash__(self):
-        return hash((self.source, self.channel, self.ensemble, self.lam))
-
     def __post_init__(self):
         lam = Fraction(self.lam)
         if lam <= 0:
@@ -427,7 +414,7 @@ class SystemSpec:
         object.__setattr__(self, "lam", lam)
         if self.ensemble.size != self.channel.in_size:
             raise ValueError("coding distribution does not match channel inputs")
-        if abs(self.source.beta - self.channel.beta) > 1e-12 * max(1.0, self.source.beta):
+        if not same_temperature(self.source.beta, self.channel.beta):
             raise ValueError("source and channel must share one inverse temperature")
 
     @property
@@ -451,12 +438,11 @@ class SystemSpec:
         return int(n)
 
 
-def output_marginal(ensemble: EnsembleSpec, channel: ChannelSpec,
-                    beta: Optional[float] = None) -> np.ndarray:
+def output_marginal(ensemble: EnsembleSpec, channel: ChannelSpec) -> np.ndarray:
     """Law of a channel output fed by one ensemble-distributed letter."""
     if ensemble.size != channel.in_size:
         raise ValueError("dimension mismatch between ensemble and channel")
-    q = ensemble.coding_dist @ channel.transition_matrix(beta)
+    q = ensemble.coding_dist @ channel.transition_matrix()
     return q / q.sum()
 
 
@@ -475,10 +461,10 @@ def zeta(system: SystemSpec, t: float) -> float:
     return float(_system_family(system).log_mgf(t)[0])
 
 
-def zeta_prime_neg(system: SystemSpec, beta: Optional[float] = None) -> float:
-    """-d zeta/dt at t = beta: the dominant per-letter channel energy."""
-    b = system.beta if beta is None else beta
-    return float(_system_family(system).mean(b)[0])
+def zeta_prime_neg(system: SystemSpec, t: Optional[float] = None) -> float:
+    """-d zeta/dt at tilt t, by default the system's beta, where it is the
+    dominant per-letter channel energy."""
+    return float(_system_family(system).mean(system.beta if t is None else t)[0])
 
 
 def channel_phi_at(system: SystemSpec, epsilon: float) -> PhiPoint:

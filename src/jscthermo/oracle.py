@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -146,9 +146,8 @@ class AggregateReport:
 
 
 def draw_code(system: SystemSpec, N: int, seed: int,
-              budget: Optional[int] = None) -> CodeInstance:
+              budget: int = DEFAULT_ENUM_BUDGET) -> CodeInstance:
     """Draw the i.i.d. codebook deterministically from (system, N, seed)."""
-    budget = DEFAULT_ENUM_BUDGET if budget is None else budget
     n = system.block_length(N)
     num = system.source.alphabet_size ** N
     if num * n > budget:
@@ -275,9 +274,8 @@ def _output_cascade(values: np.ndarray, per_letter: np.ndarray,
     return values
 
 
-def exact_mi(code: CodeInstance, budget: Optional[int] = None) -> OracleReport:
+def exact_mi(code: CodeInstance, budget: int = DEFAULT_ENUM_BUDGET) -> OracleReport:
     """Mutual information and posterior statistics by full enumeration."""
-    budget = DEFAULT_ENUM_BUDGET if budget is None else budget
     out_size = code.system.channel.out_size
     num_y = out_size ** code.n
     num_s = code.num_messages
@@ -449,11 +447,11 @@ def mc_mi(code: CodeInstance, trials: int, seed: int) -> OracleReport:
 
 
 def ensemble_stats(system: SystemSpec, N: int, num_seeds: int, base_seed: int,
-                   budget: Optional[int] = None) -> AggregateReport:
+                   budget: int = DEFAULT_ENUM_BUDGET) -> AggregateReport:
     """Mean and variance of exact_mi across independently drawn codebooks."""
     if num_seeds < 1:
         raise ValueError("need at least one seed")
-    reports = [exact_mi(draw_code(system, N, derive_seed(base_seed, k)), budget)
+    reports = [exact_mi(draw_code(system, N, derive_seed(base_seed, k), budget), budget)
                for k in range(num_seeds)]
     mi = np.array([r.mi_per_symbol for r in reports])
     return AggregateReport(

@@ -157,34 +157,32 @@ def _combined_entropy(system: SystemSpec, grid_size: int) -> TabulatedFunction:
     return clip_nonnegative(conv)
 
 
-def total_entropy(system: SystemSpec, beta: Optional[float] = None,
+def total_entropy(system: SystemSpec,
                   grid_size: int = DEFAULT_GRID_SIZE) -> TabulatedFunction:
     """Typical-code combined entropy over the total per-particle energy."""
-    sys2 = system if beta is None else system.retempered(beta)
-    return _combined_entropy(sys2, grid_size)
+    return _combined_entropy(system, grid_size)
 
 
 def dominant_energy(system: SystemSpec, beta: Optional[float] = None,
                     grid_size: int = DEFAULT_GRID_SIZE,
                     sigma: Optional[TabulatedFunction] = None) -> DominantEnergy:
-    """Grid argmax of Sigma(eps) - beta*eps, ties toward the smallest eps."""
-    sys2 = system if beta is None else system.retempered(beta)
+    """Grid argmax of Sigma(eps) - beta*eps, ties toward the smallest eps; the
+    slope beta defaults to the system's own, sigma to the system's table."""
     if sigma is None:
-        sigma = total_entropy(sys2, grid_size=grid_size)
+        sigma = _combined_entropy(system, grid_size)
     if not sigma.finite_mask.any():
         return DominantEnergy(math.nan, NEG_INF)
-    sup = legendre_sup(sigma, sys2.beta)
+    sup = legendre_sup(sigma, system.beta if beta is None else beta)
     return DominantEnergy(sup.epsilon, sup.value)
 
 
-def _entropy_balance(system: SystemSpec, beta: Optional[float] = None):
+def _entropy_balance(system: SystemSpec):
     """(phase, mi_rate, H(S), eps_C) from the sign of H(S) - lambda*I_beta."""
-    sys2 = system if beta is None else system.retempered(beta)
-    b = sys2.beta
-    h_source = source_shannon_entropy(sys2.source)
-    eps_channel = zeta_prime_neg(sys2)
+    b = system.beta
+    h_source = source_shannon_entropy(system.source)
+    eps_channel = zeta_prime_neg(system)
     # lambda*I_beta, with I_beta = -phi(eps_C) >= 0
-    info = sys2.lambda_value * max(-zeta(sys2, b) - b * eps_channel, 0.0)
+    info = system.lambda_value * max(-zeta(system, b) - b * eps_channel, 0.0)
     if h_source <= info + 1e-12 * max(h_source, info):
         # the transmitted message dominates the posterior; exact ties included
         return Phase.ORDERED, h_source, h_source, eps_channel
@@ -192,44 +190,41 @@ def _entropy_balance(system: SystemSpec, beta: Optional[float] = None):
     return Phase.PARAMAGNETIC, info + 0.0, h_source, eps_channel
 
 
-def analyze(system: SystemSpec, beta: Optional[float] = None,
-            grid_size: int = DEFAULT_GRID_SIZE) -> PhaseReport:
-    """Classify the phase and assemble the full report at one temperature.
+def analyze(system: SystemSpec, grid_size: int = DEFAULT_GRID_SIZE) -> PhaseReport:
+    """Classify the phase and assemble the full report at the system's own
+    temperature; analyze(system.retempered(b)) reports at another.
 
     The label and mi_rate are exact; grid_size sets only the resolution of
     the paramagnetic epsilon0 and of sigma_at_eps0.
     """
-    sys2 = system if beta is None else system.retempered(beta)
-    lam = sys2.lambda_value
-    phase, mi, h_source, eps_channel = _entropy_balance(sys2)
-    eps_source = sys2.source.mean_energy()
-    sigma = _combined_entropy(sys2, grid_size)
+    lam = system.lambda_value
+    phase, mi, h_source, eps_channel = _entropy_balance(system)
+    eps_source = system.source.mean_energy()
+    sigma = _combined_entropy(system, grid_size)
     if phase is Phase.ORDERED:
         eps0 = (eps_source + lam * eps_channel) / (1.0 + lam)
     else:
-        eps0 = dominant_energy(sys2, sigma=sigma).epsilon0
+        eps0 = dominant_energy(system, sigma=sigma).epsilon0
     return PhaseReport(phase, eps0, eps_source, eps_channel, mi, h_source,
                        sigma.values_at(eps0))
 
 
-def classify_phase(system: SystemSpec, beta: Optional[float] = None) -> Phase:
-    return _entropy_balance(system, beta)[0]
+def classify_phase(system: SystemSpec) -> Phase:
+    return _entropy_balance(system)[0]
 
 
-def mutual_information_rate(system: SystemSpec, beta: Optional[float] = None) -> float:
+def mutual_information_rate(system: SystemSpec) -> float:
     """Nats of mutual information per source symbol for the typical code."""
-    return _entropy_balance(system, beta)[1]
+    return _entropy_balance(system)[1]
 
 
-def energy_split(system: SystemSpec, beta: Optional[float] = None,
-                 grid_size: int = DEFAULT_GRID_SIZE):
+def energy_split(system: SystemSpec, grid_size: int = DEFAULT_GRID_SIZE):
     """(eps_star, channel_share) of the dominant posterior configurations."""
-    report = analyze(system, beta, grid_size)
+    report = analyze(system, grid_size)
     if report.phase is not Phase.PARAMAGNETIC:
         raise PhaseMismatch(f"energy split defined in the paramagnetic phase, got {report.phase.value}")
-    sys2 = system if beta is None else system.retempered(beta)
-    lam = sys2.lambda_value
-    sigma = total_entropy(sys2, grid_size=grid_size)
+    lam = system.lambda_value
+    sigma = _combined_entropy(system, grid_size)
     gap = abs((1.0 + lam) * report.epsilon0
               - (report.epsilon_star + lam * report.channel_share))
     if gap > 3.0 * (1.0 + lam) * sigma.step:
@@ -237,21 +232,18 @@ def energy_split(system: SystemSpec, beta: Optional[float] = None,
     return report.epsilon_star, report.channel_share
 
 
-def mi_rate_alternative(system: SystemSpec, beta: Optional[float] = None,
-                        grid_size: int = DEFAULT_GRID_SIZE) -> float:
+def mi_rate_alternative(system: SystemSpec, grid_size: int = DEFAULT_GRID_SIZE) -> float:
     """Mutual information via the log-likelihood chain,
     beta*eps* + psi_S - Sigma_S(eps*) - lam*phi(share), an independent route
     that must agree with mutual_information_rate up to grid resolution.
     """
-    sys2 = system if beta is None else system.retempered(beta)
-    report = analyze(sys2, grid_size=grid_size)
+    report = analyze(system, grid_size)
     if report.phase is not Phase.PARAMAGNETIC:
         raise PhaseMismatch(f"alternative rate defined in the paramagnetic phase, got {report.phase.value}")
-    b = sys2.beta
-    lam = sys2.lambda_value
-    eps_star = sys2.source.mean_energy()
-    psi_s = sys2.source.log_partition()
-    sigma_star = source_entropy_at(sys2.source, eps_star).value
+    lam = system.lambda_value
+    eps_star = system.source.mean_energy()
+    psi_s = system.source.log_partition()
+    sigma_star = source_entropy_at(system.source, eps_star).value
     share = ((1.0 + lam) * report.epsilon0 - eps_star) / lam
-    phi_share = channel_phi_at(sys2, share).value
-    return b * eps_star + psi_s - sigma_star - lam * phi_share
+    phi_share = channel_phi_at(system, share).value
+    return system.beta * eps_star + psi_s - sigma_star - lam * phi_share

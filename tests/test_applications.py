@@ -198,6 +198,37 @@ class TestEquivocationBound:
             equivocation_bound(spec, system)
 
 
+class TestMacSpecEquality:
+    energies = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
+
+    def test_channel_compares_and_hashes_by_content(self):
+        a, b = MacChannelSpec(self.energies, 1.0), MacChannelSpec(self.energies.copy(), 1.0)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != MacChannelSpec(self.energies, 2.0)
+        assert a != MacChannelSpec(self.energies * 2.0, 1.0)
+
+    def test_spec_compares_and_hashes_by_content(self):
+        a, b = additive_mac(0.8, 0.5, 0.1), additive_mac(0.8, 0.5, 0.1)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != additive_mac(0.8, 0.5, 0.2)   # another beta
+        assert a != additive_mac(0.7, 0.5, 0.1)
+
+    def test_validated_as_the_flattened_channel(self):
+        spec = MacChannelSpec(self.energies + 2.0, 1.0)
+        assert spec.hamiltonian.min() == 0.0
+        assert not spec.hamiltonian.flags.writeable
+        assert spec.flattened() == ChannelSpec(self.energies.reshape(4, 2), 1.0)
+        bad = self.energies.copy()
+        bad[1, 0] = np.inf
+        with pytest.raises(ValueError):
+            MacChannelSpec(bad, 1.0)
+        with pytest.raises(ValueError):
+            MacChannelSpec(self.energies, 0.0)
+
+
 class TestMacPhiConditional:
     def test_additive_closed_form(self):
         m_t, p = 0.3, 0.2
@@ -428,6 +459,23 @@ class TestSecrecyCapacityBracket:
 
 
 class TestMacSharedTemperature:
+    @pytest.mark.parametrize("c", [1e-13, 1.0, 1e6, 1e13])
+    def test_shared_beta_check_is_scale_free(self, c):
+        energies = c * np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
+        half = EnsembleSpec(np.array([0.5, 0.5]))
+
+        def mac(beta_t, beta_channel):
+            return MacSpec(SourceSpec(c * np.array([0.0, 0.3]), 1.0 / c),
+                           SourceSpec(c * np.array([0.2, 0.0]), beta_t), half, half,
+                           MacChannelSpec(energies, beta_channel), Fraction(1))
+
+        for beta_t, beta_channel in ((3.0 / c, 1.0 / c), (1.0 / c, 3.0 / c)):
+            with pytest.raises(ValueError, match="share one inverse temperature"):
+                mac(beta_t, beta_channel)
+        near = (1.0 + 5e-13) / c
+        mac(near, 1.0 / c)
+        mac(1.0 / c, near)
+
     def test_beta_check_is_relative_to_beta(self):
         # kT = 1e-5 gives beta = 1/1e-5, one rounding away from the stated 1e5
         block = {"binary_source": {"q": 0.3, "kT": 1e-5},

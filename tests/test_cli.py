@@ -418,3 +418,29 @@ def test_traced_names_resolve_after_cli_import():
     for module_name, attr in pairs:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), \
             (module_name, attr)
+    # phases.combined_entropy.hit_ratio reads the cache statistics of this name
+    cache = getattr(importlib.import_module("jscthermo.phases"), "_combined_entropy", None)
+    assert callable(getattr(cache, "cache_info", None))
+
+
+@pytest.mark.parametrize("c", [1e-13, 1.0, 1e6, 1e13])
+class TestSharedTemperatureAtEveryScale:
+    # (E, beta) -> (cE, beta/c): the shared-beta check must not depend on c
+
+    @staticmethod
+    def spec(c, channel_beta):
+        return {"source": {"hamiltonian": [0.0, 0.7 * c], "beta": 1.0 / c},
+                "channel": {"hamiltonian": [[0.0, 1.5 * c], [1.5 * c, 0.0]],
+                            "beta": channel_beta},
+                "lambda": {"num": 1, "den": 1}}
+
+    def test_threefold_mismatch_exits_2(self, tmp_path, capsys, c):
+        path = write_spec(tmp_path, self.spec(c, 3.0 / c))
+        assert run(["analyze", "--spec", path, "--out", "-"]) == 2
+        assert "share one inverse temperature" in capsys.readouterr().err
+
+    def test_rounding_mismatch_is_accepted(self, tmp_path, c):
+        path = write_spec(tmp_path, self.spec(c, (1.0 + 5e-13) / c))
+        out = tmp_path / "out.json"
+        assert run(["analyze", "--spec", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["phase"] in ("Ordered", "Paramagnetic")

@@ -326,6 +326,25 @@ class TestSystemSpec:
         assert hash(a) == hash(b)
         assert a != bsc_system(0.21, m=0.3)
 
+    def test_equal_specs_hash_equal_across_signed_zeros(self):
+        a, b = EnsembleSpec(np.array([1.0, 0.0])), EnsembleSpec(np.array([1.0, -0.0]))
+        assert a != b or hash(a) == hash(b)
+
+    def test_equality_compares_shape_and_type(self):
+        row = ChannelSpec(np.array([[0.0, 1.0, 1.0, 0.0]]), 1.0)
+        square = ChannelSpec(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
+        assert row != square
+        assert SourceSpec(np.array([0.0, 1.0]), 1.0) != EnsembleSpec(np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("c", [1e-13, 1.0, 1e6, 1e13])
+    def test_shared_beta_check_is_scale_free(self, c):
+        source = SourceSpec(c * np.array([0.0, 0.7]), 1.0 / c)
+        energies = c * np.array([[0.0, 1.5], [1.5, 0.0]])
+        ensemble = EnsembleSpec(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="share one inverse temperature"):
+            SystemSpec(source, ChannelSpec(energies, 3.0 / c), ensemble, Fraction(1))
+        SystemSpec(source, ChannelSpec(energies, (1.0 + 5e-13) / c), ensemble, Fraction(1))
+
 
 class TestJsonIngestion:
     def test_bsc_convenience(self):

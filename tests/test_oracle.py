@@ -457,6 +457,18 @@ class TestEnsembleStats:
         agg = ensemble_stats(system, 10, num_seeds=20, base_seed=1)
         assert abs(agg.mi_mean - mutual_information_rate(system)) < 0.05
 
+    def test_codebooks_are_drawn_within_the_budget(self, monkeypatch):
+        seen = []
+        real = oracle.draw_code
+
+        def spy(system, N, seed, budget=None):
+            seen.append(budget)
+            return real(system, N, seed) if budget is None else real(system, N, seed, budget)
+
+        monkeypatch.setattr(oracle, "draw_code", spy)
+        ensemble_stats(bsc_system(0.2), 4, num_seeds=2, base_seed=0, budget=1000)
+        assert seen == [1000, 1000]
+
 
 class TestSeedDerivation:
     def test_distinct_and_stable(self):

@@ -1,0 +1,40 @@
+"""Static checks on the package source, in place of a linter."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "jscthermo"
+# __init__.py imports in order to re-export
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every imported name the module never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    # a.b.c reads the Name a, so Names cover attribute chains too
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_finds_an_unused_import():
+    source = "import math\nimport os.path\nfrom typing import Optional, Tuple\nx: Tuple = math.pi\n"
+    assert unused_imports(source) == [(2, "os"), (3, "Optional")]
+
+
+def test_package_modules_found():
+    assert {"cli.py", "models.py", "phases.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_import(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
