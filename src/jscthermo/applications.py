@@ -32,11 +32,12 @@ from .models import (
     SystemSpec,
     _as_number,
     _ByContent,
-    _log_m,
     _TiltedFamily,
     channel_from_dict,
     channel_phi_at,
     ensemble_from_dict,
+    entropy,
+    masked_log,
     parse_lambda,
     same_temperature,
     source_from_dict,
@@ -54,19 +55,11 @@ from .oracle import (
 from .phases import Phase, classify_phase, mutual_information_rate
 from .tabulated import DEFAULT_GRID_SIZE, ConcaveFunction
 
-_ENTROPY_EPS = 1e-300
-
-
-def _entropy(p: np.ndarray) -> float:
-    p = p[p > _ENTROPY_EPS]
-    return float(-np.sum(p * np.log(p)))
-
-
 def channel_mutual_information(p_x: np.ndarray, w: np.ndarray) -> float:
     """I(X;Y) in nats for input law p_x over transition matrix w."""
     p_y = p_x @ w
-    h_y = _entropy(p_y)
-    h_y_given_x = float(np.dot(p_x, [_entropy(w[i]) for i in range(w.shape[0])]))
+    h_y = entropy(p_y)
+    h_y_given_x = float(np.dot(p_x, [entropy(row) for row in w]))
     return h_y - h_y_given_x
 
 
@@ -107,8 +100,7 @@ class WiretapSpec(_ByContent):
     def cascade(self) -> ChannelSpec:
         """The end-to-end eavesdropper channel W(z|x)."""
         w = self.main_channel.transition_matrix() @ self.tap_channel.transition_matrix()
-        energies = np.where(w > 0.0, -np.log(np.where(w > 0.0, w, 1.0)), np.inf)
-        return ChannelSpec(energies, 1.0)
+        return ChannelSpec.from_transition(w, 1.0)
 
 
 class GammaResult(NamedTuple):
@@ -121,16 +113,8 @@ def _mi_tables(spec: WiretapSpec, resolution: int):
     w_y = spec.main_channel.transition_matrix()
     w_z = w_y @ spec.tap_channel.transition_matrix()
     grid = _simplex_grid(spec.main_channel.in_size, resolution)
-    # vectorised entropies over the whole grid
-    p_y = grid @ w_y
-    p_z = grid @ w_z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_y = -np.sum(np.where(p_y > 0, p_y * np.log(np.where(p_y > 0, p_y, 1.0)), 0.0), axis=1)
-        h_z = -np.sum(np.where(p_z > 0, p_z * np.log(np.where(p_z > 0, p_z, 1.0)), 0.0), axis=1)
-    row_h_y = np.array([_entropy(w_y[i]) for i in range(w_y.shape[0])])
-    row_h_z = np.array([_entropy(w_z[i]) for i in range(w_z.shape[0])])
-    mi_y = h_y - grid @ row_h_y
-    mi_z = h_z - grid @ row_h_z
+    mi_y = entropy(grid @ w_y, axis=1) - grid @ np.array([entropy(row) for row in w_y])
+    mi_z = entropy(grid @ w_z, axis=1) - grid @ np.array([entropy(row) for row in w_z])
     return grid, mi_y, mi_z
 
 
@@ -327,7 +311,7 @@ def _conditional_family(spec: MacSpec) -> _TiltedFamily:
     joint = m_s[:, None] * np.einsum("t,sty->sy", m_t, w)   # law of (xs, y)
     joint = (joint / joint.sum()).ravel()
     energies = np.transpose(e, (1, 0, 2)).reshape(kt, ks * ky)
-    return _TiltedFamily(_log_m(spec.ensemble_t), energies, joint)
+    return _TiltedFamily(masked_log(spec.ensemble_t.coding_dist), energies, joint)
 
 
 def mac_phi_conditional(spec: MacSpec,

@@ -72,14 +72,15 @@ _NUMERIC_ERRORS = (BoundarySolution, DegenerateFunction, EdgeDerivative,
 
 _LN2 = math.log(2.0)
 
-# report fields carrying information rates, converted by --bits
-_RATE_FIELDS = {
+# nats per bit of each report field --bits converts: information rates take
+# ln 2, and the across-seed variance of a rate takes ln 2 squared
+_NATS_PER_BIT = dict.fromkeys((
     "mi_rate", "source_entropy", "sigma_at_eps0", "h_s", "h_s_given_y",
-    "mi_per_symbol", "stderr", "theorem1_mi", "gap", "mi_mean", "mi_var",
+    "mi_per_symbol", "stderr", "theorem1_mi", "gap", "mi_mean",
     "h_s_given_y_mean", "c_s", "gamma", "gamma_zero", "max_main_rate",
     "tap_capacity", "equivocation", "mi_user_s", "phi_conditional",
-    "phi_joint", "mi_s", "mi_t_given_s", "mi_joint", "z_c_fraction_mean",
-}
+    "phi_joint", "mi_s", "mi_t_given_s", "mi_joint", "rate"), _LN2)
+_NATS_PER_BIT["mi_var"] = _LN2 ** 2
 
 
 def _fmt(value) -> str:
@@ -120,12 +121,14 @@ def _json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
-def _to_bits(payload):
+def _to_bits(payload, name: Optional[str] = None):
+    """payload with every float under a field of _NATS_PER_BIT in bits."""
     if isinstance(payload, dict):
-        return {k: (_to_bits(v) if not (k in _RATE_FIELDS and isinstance(v, float))
-                    else v / _LN2) for k, v in payload.items()}
+        return {k: _to_bits(v, k) for k, v in payload.items()}
     if isinstance(payload, list):
         return [_to_bits(v) for v in payload]
+    if isinstance(payload, float) and name in _NATS_PER_BIT:
+        return payload / _NATS_PER_BIT[name]
     return payload
 
 
@@ -172,8 +175,8 @@ _REPORT_COLUMNS = ["phase", "epsilon0", "epsilon_star", "channel_share",
 def _emit(args, payload: dict, csv_header, csv_rows):
     if args.bits:
         payload = _to_bits(payload)
-        csv_rows = [[v / _LN2 if isinstance(v, float) and name in _RATE_FIELDS else v
-                     for name, v in zip(csv_header, row)] for row in csv_rows]
+        csv_rows = [[_to_bits(v, name) for name, v in zip(csv_header, row)]
+                    for row in csv_rows]
     payload["units"] = "bits" if args.bits else "nats"
     if args.format == "json":
         _write(args.out, _json_text(payload) + "\n")
@@ -298,11 +301,7 @@ def _eavesdrop_system(block: dict, wt, lam) -> Optional[SystemSpec]:
     if eaves is None:
         return None
     source = source_from_dict(eaves, "wiretap.eavesdropper")
-    cascade = wt.cascade()
-    beta = source.beta
-    w = cascade.transition_matrix()
-    energies = np.where(w > 0.0, -np.log(np.where(w > 0.0, w, 1.0)) / beta, np.inf)
-    channel = ChannelSpec(energies, beta)
+    channel = ChannelSpec.from_transition(wt.cascade().transition_matrix(), source.beta)
     ensemble = ensemble_from_dict(eaves, channel.in_size, "wiretap.eavesdropper")
     try:
         return SystemSpec(source, channel, ensemble, lam)

@@ -42,6 +42,24 @@ def logsumexp(a, axis=None):
         return np.log(np.sum(np.exp(a - peak), axis=axis)) + np.squeeze(peak, axis=axis)
 
 
+def masked_log(p):
+    """ln p elementwise, -inf where p = 0, without a divide-by-zero warning."""
+    positive = p > 0.0
+    return np.where(positive, np.log(np.where(positive, p, 1.0)), -np.inf)
+
+
+def entropy(p, axis=-1):
+    """Shannon entropy -sum p ln p in nats along axis, with 0 ln 0 = 0.  A
+    vector drops its cells at or below 1e-300 and returns a float; an array
+    sums a zero for each empty cell, so every slice sums in the same order."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 1:
+        p = p[p > 1e-300]
+        return float(-np.sum(p * np.log(p)))
+    positive = p > 0.0
+    return -np.sum(np.where(positive, p * np.log(np.where(positive, p, 1.0)), 0.0), axis=axis)
+
+
 def binary_entropy(x):
     """h2 in nats; accepts scalars or arrays, 0 at the endpoints."""
     x = np.asarray(x, dtype=float)
@@ -142,8 +160,7 @@ class SourceSpec(_ByContent):
         return SourceSpec(self.hamiltonian, beta)
 
     def probabilities(self) -> np.ndarray:
-        logits = -self.beta * self.hamiltonian
-        return np.exp(logits - logsumexp(logits))
+        return np.exp(-self.beta * self.hamiltonian - self.log_partition())
 
     def log_partition(self) -> float:
         return source_log_partition(self, self.beta)
@@ -366,11 +383,19 @@ class ChannelSpec(_ByContent):
     def retempered(self, beta: float) -> "ChannelSpec":
         return ChannelSpec(self.hamiltonian, beta)
 
+    @classmethod
+    def from_transition(cls, w, beta: float) -> "ChannelSpec":
+        """The channel at beta whose transition matrix is w: E = -ln W / beta,
+        +inf where W = 0, so every row has Z_x = 1 before the global shift."""
+        return cls(-masked_log(np.asarray(w, dtype=float)) / beta, beta)
+
+    def row_log_partition(self) -> np.ndarray:
+        """ln Z_x = ln sum_y exp(-beta E(x, y)) for every input x."""
+        return logsumexp(-self.beta * self.hamiltonian, axis=1)
+
     def transition_matrix(self) -> np.ndarray:
-        logits = np.where(np.isfinite(self.hamiltonian), -self.beta * self.hamiltonian, -np.inf)
-        w = np.exp(logits - logsumexp(logits, axis=1)[:, None])
-        w[~np.isfinite(self.hamiltonian)] = 0.0
-        return w
+        """W(y|x) = exp(-beta E(x, y)) / Z_x, exactly 0 where E = +inf."""
+        return np.exp(-self.beta * self.hamiltonian - self.row_log_partition()[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,14 +471,9 @@ def output_marginal(ensemble: EnsembleSpec, channel: ChannelSpec) -> np.ndarray:
     return q / q.sum()
 
 
-def _log_m(ensemble: EnsembleSpec) -> np.ndarray:
-    m = ensemble.coding_dist
-    return np.where(m > 0.0, np.log(np.where(m > 0.0, m, 1.0)), -np.inf)
-
-
 def _system_family(system: SystemSpec) -> _TiltedFamily:
     q = output_marginal(system.ensemble, system.channel)
-    return _TiltedFamily(_log_m(system.ensemble), system.channel.hamiltonian, q)
+    return _TiltedFamily(masked_log(system.ensemble.coding_dist), system.channel.hamiltonian, q)
 
 
 def zeta(system: SystemSpec, t: float) -> float:

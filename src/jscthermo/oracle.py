@@ -20,7 +20,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ImpossibleOutput, TooLarge
-from .models import SystemSpec, logsumexp, source_shannon_entropy
+from .models import (SystemSpec, _ByContent, entropy, logsumexp, masked_log,
+                     source_shannon_entropy)
 from .tabulated import NEG_INF
 
 DEFAULT_ENUM_BUDGET = 1 << 26   # (message, output) pairs
@@ -98,8 +99,8 @@ def message_digits(alphabet: int, length: int, index: int) -> np.ndarray:
     return digits
 
 
-@dataclass(frozen=True)
-class CodeInstance:
+@dataclass(frozen=True, eq=False)
+class CodeInstance(_ByContent):
     """A concrete random codebook s -> x(s), fully determined by its seed."""
 
     system: SystemSpec
@@ -174,19 +175,13 @@ def _source_digit_table(code: CodeInstance) -> np.ndarray:
 
 
 def _message_log_prior(code: CodeInstance) -> np.ndarray:
-    src = code.system.source
-    logp = np.log(src.probabilities())
+    logp = masked_log(code.system.source.probabilities())
     return logp[_source_digit_table(code)].sum(axis=1)
 
 
 def _message_source_energy(code: CodeInstance) -> np.ndarray:
     src = code.system.source
     return src.hamiltonian[_source_digit_table(code)].sum(axis=1)
-
-
-def _log_w(code: CodeInstance) -> np.ndarray:
-    w = code.system.channel.transition_matrix()
-    return np.where(w > 0.0, np.log(np.where(w > 0.0, w, 1.0)), -np.inf)
 
 
 def _boltzmann_energies(code: CodeInstance, y: np.ndarray) -> np.ndarray:
@@ -208,7 +203,7 @@ def _check_output(code: CodeInstance, y) -> np.ndarray:
 def posterior(code: CodeInstance, y) -> np.ndarray:
     """Exact posterior over all messages given the output block y."""
     y = _check_output(code, y)
-    log_w = _log_w(code)
+    log_w = masked_log(code.system.channel.transition_matrix())
     loglik = log_w[code.codebook, y[None, :]].sum(axis=1)
     logits = _message_log_prior(code) + loglik
     norm = float(logsumexp(logits))
@@ -282,7 +277,8 @@ def exact_mi(code: CodeInstance, budget: int = DEFAULT_ENUM_BUDGET) -> OracleRep
     if num_s * num_y > budget:
         raise TooLarge(f"enumeration {num_s}x{num_y} exceeds budget {budget}; use mc_mi")
 
-    log_w = _log_w(code)
+    w = code.system.channel.transition_matrix()
+    log_w = masked_log(w)
     log_prior = _message_log_prior(code)
     chunk = min(num_s, max(1, _CHUNK_CELLS // num_y))
     floor = np.finfo(float).min
@@ -319,7 +315,7 @@ def exact_mi(code: CodeInstance, budget: int = DEFAULT_ENUM_BUDGET) -> OracleRep
     py_mask = np.isfinite(log_py)
     h_y = float(-np.sum(np.exp(log_py[py_mask]) * log_py[py_mask]))
     # truth mass: sum_y P(y) sum_s post(s|y)^2 = sum_y sum_s P(s,y)^2 / P(y)
-    z_c_fraction = float(np.sum(np.exp(log_py_sq[py_mask] - log_py[py_mask])))
+    z_c_fraction = min(float(np.sum(np.exp(log_py_sq[py_mask] - log_py[py_mask]))), 1.0)
     # H(S|Y) = -E[ln P(S,Y)] - H(Y), both taken under the exact joint
     h_s_given_y_total = -mean_log_joint - h_y
 
@@ -327,21 +323,20 @@ def exact_mi(code: CodeInstance, budget: int = DEFAULT_ENUM_BUDGET) -> OracleRep
     # average over outputs collapses to the transmitted pair's mean, which is
     # a per-coordinate sum for a memoryless channel
     e_c = code.system.channel.hamiltonian
-    w = code.system.channel.transition_matrix()
     row_mean_energy = np.sum(np.where(w > 0.0, w * np.where(np.isfinite(e_c), e_c, 0.0), 0.0), axis=1)
     prior = np.exp(log_prior)
     chan_energy = float(np.dot(prior, row_mean_energy[code.codebook].sum(axis=1)))
 
     # conditional output entropy is a per-letter sum under memorylessness
-    letter_entropy = -np.sum(np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0), axis=1)
-    h_y_given_s = float(np.dot(prior, letter_entropy[code.codebook].sum(axis=1)))
+    h_y_given_s = float(np.dot(prior, entropy(w, axis=1)[code.codebook].sum(axis=1)))
 
     h_s = source_shannon_entropy(code.system.source)
     src_energy = float(np.dot(prior, _message_source_energy(code)))
     return OracleReport(
         h_s=h_s,
         h_s_given_y=h_s_given_y_total / code.N,
-        mi_per_symbol=max(0.0, (h_y - h_y_given_s) / code.N),   # rounding can dip below 0
+        # rounding can leave [0, H(S)]
+        mi_per_symbol=min(max(0.0, (h_y - h_y_given_s) / code.N), h_s),
         stderr=0.0,
         energy_split_source=src_energy / code.N,
         energy_split_channel=chan_energy / code.n,
@@ -387,17 +382,16 @@ def mc_mi(code: CodeInstance, trials: int, seed: int) -> OracleReport:
     channel = code.system.channel
     cum_src = np.cumsum(src.probabilities())
     cum_src[-1] = 1.0
-    cum_w = np.cumsum(channel.transition_matrix(), axis=1)
+    w = channel.transition_matrix()
+    cum_w = np.cumsum(w, axis=1)
     cum_w[:, -1] = 1.0
-    log_w = _log_w(code)
     log_prior = _message_log_prior(code)
     e_src = _message_source_energy(code)
     # W = exp(-beta E) / Z_x, so a message's channel energy given y is
     # -(ln W(y | x(s)) + sum_i ln Z_{x_i(s)}) / beta: the likelihood tables
     # serve for both
-    log_z = logsumexp(-channel.beta * channel.hamiltonian, axis=1)
-    msg_log_z = log_z[code.codebook].sum(axis=1)
-    tables = _likelihood_tables(code, log_w)
+    msg_log_z = channel.row_log_partition()[code.codebook].sum(axis=1)
+    tables = _likelihood_tables(code, masked_log(w))
     floor = np.finfo(float).min
 
     k = src.alphabet_size

@@ -247,7 +247,8 @@ def test_criterion_07_oracle_convergence_ladder():
 
 
 def test_criterion_08_energy_split_concentration():
-    from jscthermo.oracle import (_log_w, _message_log_prior,
+    from jscthermo.models import masked_log
+    from jscthermo.oracle import (_message_log_prior,
                                   _message_source_energy, _output_cascade,
                                   derive_seed, draw_code)
 
@@ -264,7 +265,7 @@ def test_criterion_08_energy_split_concentration():
         # and of P(s, y) times each energy give the posterior means per y
         log_prior = _message_log_prior(code)
         e_src = _message_source_energy(code)
-        log_w = _log_w(code)
+        log_w = masked_log(code.system.channel.transition_matrix())
         e_c = code.system.channel.hamiltonian
         half = code.n // 2
         num_y = code.system.channel.out_size ** code.n

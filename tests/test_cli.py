@@ -224,6 +224,37 @@ class TestSimulate:
         report_schema(payload)
         assert payload["num_seeds"] == 8
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bits_converts_rates_and_their_variance_only(self, tmp_path, fmt):
+        spec = write_spec(tmp_path, BSC_SPEC)
+        reports = []
+        for units in ([], ["--bits"]):
+            out = tmp_path / f"{len(units)}.{fmt}"
+            assert run(["simulate", "--spec", spec, "--n", "4", "--seeds", "5",
+                        "--format", fmt, "--out", str(out)] + units) == 0
+            text = out.read_text()
+            if fmt == "json":
+                reports.append(json.loads(text))
+            else:
+                header, row = text.splitlines()
+                reports.append({k: float(v) for k, v in zip(header.split(","), row.split(","))})
+        nats, bits = reports
+        assert bits["mi_mean"] == pytest.approx(nats["mi_mean"] / LN2, rel=1e-15)
+        # a variance of nats is a variance of bits times (ln 2)^2
+        assert bits["mi_var"] == pytest.approx(nats["mi_var"] / LN2 ** 2, rel=1e-15)
+        if fmt == "json":
+            # the posterior mass on the truth is a probability, not a rate
+            assert bits["z_c_fraction_mean"] == nats["z_c_fraction_mean"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_prior_symbol_warns_nothing(self, tmp_path):
+        # P(s=1) = exp(-800) underflows to 0
+        spec = write_spec(tmp_path, {
+            "source": {"hamiltonian": [0.0, 800.0], "beta": 1.0},
+            "bsc": {"p": 0.05}, "lambda": {"num": 1, "den": 1}})
+        for extra in ([], ["--seeds", "3"], ["--trials", "100"]):
+            assert run(["simulate", "--spec", spec, "--n", "4", "--out", "-"] + extra) == 0
+
 
 class TestWiretap:
     def test_identity_tap(self, tmp_path, report_schema):
@@ -259,6 +290,18 @@ class TestWiretap:
         lines = out.read_text().splitlines()
         assert lines[0] == "rate,gamma,c_s"
         assert len(lines) == 6
+
+    def test_bits_converts_the_rate_axis_with_gamma(self, tmp_path):
+        spec = write_spec(tmp_path, WIRETAP_SPEC)
+        tables = []
+        for units in ([], ["--bits"]):
+            out = tmp_path / f"{len(units)}.csv"
+            assert run(["wiretap", "--spec", spec, "--out", str(out), "--format", "csv",
+                        "--steps", "3", "--resolution", "50"] + units) == 0
+            tables.append([float(v) for row in out.read_text().splitlines()[1:]
+                           for v in row.split(",")])
+        nats, bits = tables
+        assert bits == pytest.approx([v / LN2 for v in nats], rel=1e-15)
 
 
 class TestMac:

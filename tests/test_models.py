@@ -140,6 +140,32 @@ class TestSourceEntropyFunction:
         assert np.all(np.isneginf(sig.values[1:]))
 
 
+class TestBoltzmannConventions:
+    @pytest.mark.filterwarnings("error")
+    def test_masked_log_and_entropy_treat_zero_as_absent(self):
+        p = np.array([0.5, 0.0, 0.5])
+        np.testing.assert_array_equal(models.masked_log(p), [-LN2, -np.inf, -LN2])
+        assert models.entropy(p) == pytest.approx(LN2, abs=1e-15)
+        np.testing.assert_allclose(models.entropy(np.array([p, [1.0, 0.0, 0.0]]), axis=1),
+                                   [LN2, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+    def test_from_transition_round_trips_with_unit_partitions(self, beta):
+        w = np.array([[0.7, 0.3, 0.0], [0.0, 0.2, 0.8]])
+        channel = ChannelSpec.from_transition(w, beta)
+        assert np.isinf(channel.hamiltonian[w == 0.0]).all()
+        np.testing.assert_allclose(channel.transition_matrix(), w, atol=1e-15)
+        # -ln W / beta makes every Z_x one, up to the global shift to min E = 0
+        log_z = channel.row_log_partition()
+        np.testing.assert_allclose(log_z, log_z[0], atol=1e-15)
+
+    def test_row_log_partition_normalises_the_rows(self):
+        channel = ChannelSpec(np.array([[0.0, 1.5], [0.0, 0.0]]), 1.0)
+        np.testing.assert_allclose(channel.row_log_partition(),
+                                   [math.log1p(math.exp(-1.5)), LN2], atol=1e-15)
+        np.testing.assert_allclose(channel.transition_matrix().sum(axis=1), 1.0, atol=1e-15)
+
+
 class TestOutputMarginal:
     def test_symmetric_channel_uniform_input(self):
         system = bsc_system(0.2)
