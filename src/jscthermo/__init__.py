@@ -22,8 +22,6 @@ from .applications import (
     max_main_rate,
     secrecy_capacity,
     tap_capacity,
-    wiretap_from_dict,
-    mac_from_dict,
 )
 from .errors import (
     BoundarySolution,
@@ -60,7 +58,6 @@ from .models import (
     source_entropy_function,
     source_log_partition,
     source_shannon_entropy,
-    system_from_dict,
     zeta,
     zeta_prime_neg,
 )
@@ -91,6 +88,7 @@ from .phases import (
     mutual_information_rate,
     total_entropy,
 )
+from .spec_json import mac_from_dict, system_from_dict, wiretap_from_dict
 from .tabulated import (
     DEFAULT_BETA_MAX,
     DEFAULT_GRID_SIZE,

@@ -17,30 +17,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InfeasibleRate,
-    NotAboveCapacity,
-    PhaseMismatch,
-    SpecError,
-    TooLarge,
-)
+from .errors import InfeasibleRate, NotAboveCapacity, PhaseMismatch, TooLarge
 from .models import (
     ChannelSpec,
     EnsembleSpec,
     PhiPoint,
     SourceSpec,
     SystemSpec,
-    _as_number,
     _ByContent,
     _TiltedFamily,
-    channel_from_dict,
     channel_phi_at,
-    ensemble_from_dict,
     entropy,
     masked_log,
-    parse_lambda,
     same_temperature,
-    source_from_dict,
     source_shannon_entropy,
     zeta_prime_neg,
 )
@@ -387,58 +376,3 @@ def mac_oracle(spec: MacSpec, N: int, seed: int,
     # the difference, kept in [0, I(S,T;Y)] against rounding
     mi_s = min(max(0.0, mi_joint - mi_t_given_s), mi_joint)
     return MacOracleReport(mi_s, mi_t_given_s, mi_joint)
-
-
-# ---------------------------------------------------------------------------
-# JSON ingestion
-
-
-def wiretap_from_dict(obj: dict) -> WiretapSpec:
-    block = obj.get("wiretap")
-    if block is None:
-        raise SpecError("wiretap", "missing")
-    main = channel_from_dict(block.get("main", {}), "wiretap.main")
-    tap = channel_from_dict(block.get("tap", {}), "wiretap.tap")
-    lam = parse_lambda(block, "wiretap")
-    if "source_entropy" in block:
-        h = _as_number(block["source_entropy"], "wiretap.source_entropy")
-        if h < 0:
-            raise SpecError("wiretap.source_entropy", "expected a nonnegative number")
-    elif "binary_source" in block or "source" in block:
-        h = source_shannon_entropy(source_from_dict(block, "wiretap"))
-    else:
-        raise SpecError("wiretap.source_entropy", "missing")
-    try:
-        return WiretapSpec(main, tap, lam, h)
-    except ValueError as exc:
-        raise SpecError("wiretap", str(exc)) from exc
-
-
-def mac_from_dict(obj: dict) -> MacSpec:
-    block = obj.get("mac")
-    if block is None:
-        raise SpecError("mac", "missing")
-    source_s = source_from_dict(block, "mac")
-    shim_t = {}
-    if "source_t" in block:
-        shim_t["source"] = block["source_t"]
-    if "binary_source_t" in block:
-        shim_t["binary_source"] = block["binary_source_t"]
-    source_t = source_from_dict(shim_t, "mac(second user)")
-    tensor = block.get("channel3")
-    if tensor is None:
-        raise SpecError("mac.channel3", "missing")
-    beta = _as_number(block.get("beta", source_s.beta), "mac.beta")
-    try:
-        channel = MacChannelSpec(np.asarray(tensor, dtype=float), beta)
-    except (ValueError, TypeError) as exc:
-        raise SpecError("mac.channel3", str(exc)) from exc
-    ks, kt, _ = channel.shape
-    ens_s = ensemble_from_dict(block, ks, "mac")
-    ens_t = ensemble_from_dict(
-        {"ensemble": block["ensemble_t"]} if "ensemble_t" in block else {}, kt, "mac")
-    lam = parse_lambda(block, "mac")
-    try:
-        return MacSpec(source_s, source_t, ens_s, ens_t, channel, lam)
-    except ValueError as exc:
-        raise SpecError("mac", str(exc)) from exc

@@ -23,14 +23,12 @@ import numpy as np
 from .applications import (
     equivocation_bound,
     gamma,
-    mac_from_dict,
     mac_mi_user,
     mac_oracle,
     mac_phi_conditional_at,
     max_main_rate,
     secrecy_capacity,
     tap_capacity,
-    wiretap_from_dict,
 )
 from .errors import (
     BoundarySolution,
@@ -46,15 +44,7 @@ from .errors import (
     SpecError,
     TooLarge,
 )
-from .models import (
-    ChannelSpec,
-    SystemSpec,
-    channel_phi_at,
-    ensemble_from_dict,
-    source_from_dict,
-    system_from_dict,
-    zeta_prime_neg,
-)
+from .models import SystemSpec, channel_phi_at, zeta_prime_neg
 from .oracle import (
     DEFAULT_ENUM_BUDGET,
     draw_code,
@@ -63,6 +53,13 @@ from .oracle import (
     mc_mi,
 )
 from .phases import analyze, mutual_information_rate
+from .spec_json import (
+    eavesdropper_from_dict,
+    load_spec,
+    mac_from_dict,
+    system_from_dict,
+    wiretap_from_dict,
+)
 from .tabulated import DEFAULT_GRID_SIZE
 
 _NUMERIC_ERRORS = (BoundarySolution, DegenerateFunction, EdgeDerivative,
@@ -147,16 +144,6 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_spec(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise SpecError("spec", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError("json", str(exc)) from exc
-
-
 def _report_dict(report) -> dict:
     return {
         "phase": report.phase.value,
@@ -185,7 +172,7 @@ def _emit(args, payload: dict, csv_header, csv_rows):
 
 
 def _cmd_analyze(args) -> int:
-    system = system_from_dict(_load_spec(args.spec))
+    system = system_from_dict(load_spec(args.spec))
     report = analyze(system, grid_size=args.grid)
     payload = {"command": "analyze", "report": _report_dict(report)}
     row = [_report_dict(report)[c] for c in _REPORT_COLUMNS]
@@ -214,7 +201,7 @@ def _cmd_sweep(args) -> int:
         raise SpecError("axis", "sweep needs --axis, --from, --to and --steps")
     if args.steps < 1:
         raise SpecError("steps", "need at least one step")
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     values = np.linspace(args.start, args.stop, args.steps)
     rows = []
     for value in values:
@@ -246,7 +233,10 @@ def _cmd_simulate(args) -> int:
         raise SpecError("trials", "need at least 100 Monte Carlo trials")
     if args.seeds < 1:
         raise SpecError("seeds", "need at least one codebook seed")
-    system = system_from_dict(_load_spec(args.spec))
+    if args.seeds > 1 and args.trials:
+        raise SpecError("trials", "cannot be combined with --seeds, whose aggregate "
+                        "enumerates every codebook exactly")
+    system = system_from_dict(load_spec(args.spec))
     _check_block_length(system, args.n)
     budget = args.budget
     formula_mi = mutual_information_rate(system)
@@ -296,26 +286,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _eavesdrop_system(block: dict, wt, lam) -> Optional[SystemSpec]:
-    eaves = block.get("eavesdropper")
-    if eaves is None:
-        return None
-    source = source_from_dict(eaves, "wiretap.eavesdropper")
-    channel = ChannelSpec.from_transition(wt.cascade().transition_matrix(), source.beta)
-    ensemble = ensemble_from_dict(eaves, channel.in_size, "wiretap.eavesdropper")
-    try:
-        return SystemSpec(source, channel, ensemble, lam)
-    except ValueError as exc:
-        raise SpecError("wiretap.eavesdropper", str(exc)) from exc
-
-
 def _cmd_wiretap(args) -> int:
     if args.resolution < 1:
         raise SpecError("resolution", "need at least 1 simplex step")
     if args.steps < 2:
         raise SpecError("steps", "the Gamma table needs at least 2 rates")
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     wt = wiretap_from_dict(spec)
+    eaves = eavesdropper_from_dict(spec, wt)
     if wt.main_channel.in_size > 3:
         raise SpecError("wiretap.main", "capacities use the exhaustive simplex grid, "
                         "which covers at most 3 input letters")
@@ -332,7 +310,6 @@ def _cmd_wiretap(args) -> int:
         "max_main_rate": r_max, "tap_capacity": cap,
         "gamma_table": table,
     }
-    eaves = _eavesdrop_system(spec.get("wiretap", {}), wt, wt.lam)
     if eaves is not None:
         payload["equivocation"] = equivocation_bound(wt, eaves, resolution=resolution)
     header = ["rate", "gamma", "c_s"]
@@ -344,8 +321,7 @@ def _cmd_wiretap(args) -> int:
 def _cmd_mac(args) -> int:
     if args.n < 0:
         raise SpecError("n", "block length must be nonnegative")
-    spec = _load_spec(args.spec)
-    mac = mac_from_dict(spec)
+    mac = mac_from_dict(load_spec(args.spec))
     combined = mac.combined_system()
     _check_block_length(combined, args.n)
     eps_c = zeta_prime_neg(combined)

@@ -11,14 +11,13 @@ the closed-form crossover/bias parameter mappings and binary convolution.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import IncompatibleSupport, InvalidTemperature, OutOfRange, SpecError
+from .errors import IncompatibleSupport, InvalidTemperature, OutOfRange
 from .tabulated import (
     DEFAULT_GRID_SIZE,
     NEG_INF,
@@ -507,115 +506,3 @@ def channel_energy_range(system: SystemSpec):
     """(eps_lo, eps_hi) achievable per-letter channel energies under M."""
     family = _system_family(system)
     return family.eps_lo, family.eps_hi
-
-
-# ---------------------------------------------------------------------------
-# JSON ingestion
-
-
-def _require(obj: dict, field: str, context: str = ""):
-    path = f"{context}.{field}" if context else field
-    if not isinstance(obj, dict) or field not in obj:
-        raise SpecError(path, "missing")
-    return obj[field]
-
-
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(path, "expected a number")
-    if not abs(value) <= sys.float_info.max:   # NaN, infinities, ints past any double
-        raise SpecError(path, "expected a finite number")
-    return float(value)
-
-
-def parse_lambda(obj: dict, context: str = "") -> Fraction:
-    raw = _require(obj, "lambda", context)
-    path = f"{context}.lambda" if context else "lambda"
-    if not isinstance(raw, dict):
-        raise SpecError(path, "expected {num, den}")
-    num = _require(raw, "num", path)
-    den = _require(raw, "den", path)
-    if not isinstance(num, int) or not isinstance(den, int) or isinstance(num, bool):
-        raise SpecError(path, "num and den must be integers")
-    if den <= 0 or num <= 0:
-        raise SpecError(path, "lambda must be positive")
-    return Fraction(num, den)
-
-
-def source_from_dict(obj: dict, context: str = "") -> SourceSpec:
-    if "source" in obj:
-        block = obj["source"]
-        path = f"{context}.source" if context else "source"
-        ham = _require(block, "hamiltonian", path)
-        beta = _as_number(_require(block, "beta", path), f"{path}.beta")
-        try:
-            return SourceSpec(np.asarray(ham, dtype=float), beta)
-        except (ValueError, TypeError) as exc:
-            raise SpecError(path, str(exc)) from exc
-    if "binary_source" in obj:
-        block = obj["binary_source"]
-        path = f"{context}.binary_source" if context else "binary_source"
-        q = _as_number(_require(block, "q", path), f"{path}.q")
-        k_t = _as_number(block.get("kT", 1.0), f"{path}.kT")
-        if not 0.0 < q < 1.0:
-            raise SpecError(f"{path}.q", "must lie in (0, 1)")
-        try:
-            b = field_from_bias(q, k_t)
-            # symbols (0, 1) carry spin (-1, +1); energies -spin*B, shifted to min 0
-            return SourceSpec(np.array([b, -b]), 1.0 / k_t)
-        except ValueError as exc:
-            raise SpecError(path, str(exc)) from exc
-    raise SpecError(f"{context}.source" if context else "source", "missing")
-
-
-def channel_from_dict(obj: dict, context: str = "") -> ChannelSpec:
-    if "channel" in obj:
-        block = obj["channel"]
-        path = f"{context}.channel" if context else "channel"
-        ham = _require(block, "hamiltonian", path)
-        beta = _as_number(_require(block, "beta", path), f"{path}.beta")
-        try:
-            rows = [[math.inf if isinstance(v, str) and v == "inf" else float(v)
-                     for v in row] for row in ham]
-            return ChannelSpec(np.asarray(rows, dtype=float), beta)
-        except (ValueError, TypeError) as exc:
-            raise SpecError(path, str(exc)) from exc
-    if "bsc" in obj:
-        block = obj["bsc"]
-        path = f"{context}.bsc" if context else "bsc"
-        p = _as_number(_require(block, "p", path), f"{path}.p")
-        k_t = _as_number(block.get("kT", 1.0), f"{path}.kT")
-        if not 0.0 < p < 1.0:
-            raise SpecError(f"{path}.p", "must lie in (0, 1)")
-        try:
-            e0 = energy_from_crossover(p, k_t)
-            return ChannelSpec(np.array([[0.0, e0], [e0, 0.0]]), 1.0 / k_t)
-        except ValueError as exc:
-            raise SpecError(path, str(exc)) from exc
-    raise SpecError(f"{context}.channel" if context else "channel", "missing")
-
-
-def ensemble_from_dict(obj: dict, in_size: int, context: str = "") -> EnsembleSpec:
-    if "ensemble" in obj:
-        block = obj["ensemble"]
-        path = f"{context}.ensemble" if context else "ensemble"
-        m = _require(block, "m", path)
-        try:
-            return EnsembleSpec(np.asarray(m, dtype=float))
-        except (ValueError, TypeError) as exc:
-            raise SpecError(f"{path}.m", str(exc)) from exc
-    return EnsembleSpec(np.full(in_size, 1.0 / in_size))
-
-
-def system_from_dict(obj: dict) -> SystemSpec:
-    """Build a SystemSpec from the JSON schema (see schema/systemspec.json)."""
-    if not isinstance(obj, dict):
-        raise SpecError("", "top level must be an object")
-    source = source_from_dict(obj)
-    channel = channel_from_dict(obj)
-    ensemble = ensemble_from_dict(obj, channel.in_size)
-    lam = parse_lambda(obj)
-    try:
-        return SystemSpec(source, channel, ensemble, lam)
-    except ValueError as exc:
-        raise SpecError("system", str(exc)) from exc

@@ -1,10 +1,12 @@
 """CLI: commands, formats, determinism, exit codes, schema conformance."""
 
 import ast
+import copy
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -38,6 +40,11 @@ WIRETAP_SPEC = {
     }
 }
 
+EAVESDROPPER_SPEC = {
+    "wiretap": dict(WIRETAP_SPEC["wiretap"], eavesdropper={
+        "binary_source": {"q": 0.5}, "ensemble": {"m": [0.5, 0.5]}}),
+}
+
 MAC_SPEC = {
     "mac": {
         "source": {"hamiltonian": [0.0, 0.0], "beta": 2.1972245773362196},
@@ -65,13 +72,19 @@ def run(args):
     return main(args)
 
 
-@pytest.fixture()
-def report_schema():
+def schema_validator(name):
     jsonschema = pytest.importorskip("jsonschema")
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(here, "schema", "report.json"), encoding="utf-8") as fh:
+    with open(os.path.join(here, "schema", name), encoding="utf-8") as fh:
         schema = json.load(fh)
-    return lambda obj: jsonschema.validate(obj, schema)
+    validator = jsonschema.validators.validator_for(schema)
+    validator.check_schema(schema)
+    return validator(schema).validate
+
+
+@pytest.fixture()
+def report_schema():
+    return schema_validator("report.json")
 
 
 class TestAnalyze:
@@ -100,6 +113,18 @@ class TestAnalyze:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         assert run(["analyze", "--spec", str(path), "--out", "-"]) == 2
+
+    @pytest.mark.parametrize("content, field", [
+        (b'{"bsc": "\xff"}', "'json'"), (None, "'spec'"),
+    ], ids=["not-utf8", "directory"])
+    def test_unreadable_spec_exits_2(self, tmp_path, capsys, content, field):
+        path = tmp_path / "bad.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert run(["analyze", "--spec", str(path), "--out", "-"]) == 2
+        assert field in capsys.readouterr().err
 
     def test_csv_header(self, tmp_path):
         spec = write_spec(tmp_path, BSC_SPEC)
@@ -303,6 +328,32 @@ class TestWiretap:
         nats, bits = tables
         assert bits == pytest.approx([v / LN2 for v in nats], rel=1e-15)
 
+    def test_eavesdropper_rerun_is_byte_identical(self, tmp_path, report_schema):
+        spec = write_spec(tmp_path, EAVESDROPPER_SPEC)
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert run(["wiretap", "--spec", spec, "--out", str(out), "--steps", "3",
+                        "--resolution", "50"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        payload = json.loads(outs[0].read_text())
+        report_schema(payload)
+        # a fair code above the cascade's capacity leaves H(S|Z) = h2(0.05 * 0.1)
+        assert payload["equivocation"] == pytest.approx(
+            binary_entropy(binary_convolution(0.05, 0.1)), abs=1e-9)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", {"num": 3, "den": 1}),
+        ("bsc", {"p": 0.4}),
+        ("channel", {"hamiltonian": [[0.0, 1.0], [1.0, 0.0]], "beta": 1.0}),
+    ])
+    def test_eavesdropper_takes_no_channel_or_lambda(self, tmp_path, capsys, key, value):
+        # the cascade fixes the eavesdropper's channel and the wiretap its lambda
+        spec = copy.deepcopy(EAVESDROPPER_SPEC)
+        spec["wiretap"]["eavesdropper"][key] = value
+        path = write_spec(tmp_path, spec)
+        assert run(["wiretap", "--spec", path, "--out", "-"]) == 2
+        assert f"'wiretap.eavesdropper.{key}'" in capsys.readouterr().err
+
 
 class TestMac:
     def test_hidden_partner_and_oracle(self, tmp_path, report_schema):
@@ -392,6 +443,9 @@ class TestDocumentedExitCodes:
                      id="seeds-negative"),
         pytest.param(["simulate", "--n", "4", "--budget", "-5"], BSC_SPEC, "budget",
                      id="budget-negative"),
+        # --seeds aggregates exact enumerations; it used to drop --trials silently
+        pytest.param(["simulate", "--n", "4", "--seeds", "2", "--trials", "200"], BSC_SPEC,
+                     "'trials'", id="seeds-with-trials"),
         # Python's json reads NaN and Infinity; a spec must not pass them on
         pytest.param(["analyze"], {**BSC_SPEC, "channel": {
             "hamiltonian": [[0.0, 1.0], [1.0, 0.0]], "beta": math.inf}}, "'channel.beta'",
@@ -413,10 +467,50 @@ class TestDocumentedExitCodes:
         pytest.param(["wiretap"], {"wiretap": {**WIRETAP_SPEC["wiretap"],
                                                "source_entropy": math.nan}},
                      "'wiretap.source_entropy'", id="source-entropy-nan"),
+        # numbers are JSON numbers: numeric strings and JSON's Infinity are refused
+        pytest.param(["analyze"], {**BSC_SPEC, "source": {"hamiltonian": ["0", 0.5], "beta": 1.0}},
+                     "'source.hamiltonian'", id="source-energy-string"),
+        pytest.param(["analyze"], {**BSC_SPEC, "channel": {
+            "hamiltonian": [[0.0, "0.5"], [0.5, 0.0]], "beta": 1.0}}, "'channel.hamiltonian'",
+            id="channel-energy-string"),
+        pytest.param(["analyze"], {**BSC_SPEC, "channel": {
+            "hamiltonian": [[0.0, math.inf], [math.inf, 0.0]], "beta": 1.0}},
+            "'channel.hamiltonian'", id="channel-energy-infinity"),
+        pytest.param(["mac"], {"mac": {**MAC_SPEC["mac"], "channel3": [
+            [[0.0, "1"], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]}}, "'mac.channel3'",
+            id="channel3-string"),
+        # blocks that are not objects
+        pytest.param(["wiretap"], [WIRETAP_SPEC], "'spec'", id="wiretap-top-level-array"),
+        pytest.param(["mac"], [MAC_SPEC], "'spec'", id="mac-top-level-array"),
+        pytest.param(["wiretap"], {"wiretap": 5}, "'wiretap'", id="wiretap-number"),
+        pytest.param(["wiretap"], {"wiretap": dict(WIRETAP_SPEC["wiretap"], main=5)},
+                     "'wiretap.main'", id="wiretap-main-number"),
+        pytest.param(["mac"], {"mac": 3}, "'mac'", id="mac-number"),
+        pytest.param(["wiretap"], {"wiretap": dict(WIRETAP_SPEC["wiretap"], eavesdropper=5)},
+                     "'wiretap.eavesdropper'", id="eavesdropper-number"),
+        # at so small a beta the cascade's energies -ln W / beta overflow
+        pytest.param(["wiretap", "--resolution", "8"], {"wiretap": dict(
+            WIRETAP_SPEC["wiretap"], eavesdropper={"source": {"hamiltonian": [0.0, 1.0],
+                                                              "beta": 1e-310}})},
+            "'wiretap.eavesdropper'", id="eavesdropper-beta-underflow"),
     ])
     def test_bad_size_exits_2(self, tmp_path, capsys, args, spec, field):
         path = write_spec(tmp_path, spec)
         assert run(args + ["--spec", path, "--out", "-"]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, field", [
+        pytest.param("analyze", '{"binary_source": {"q": 0.5}, "lambda": {"num": 1, "den": 1}, '
+                     '"channel": {"hamiltonian": [[0, 1e400], [1, 0]], "beta": 1}}',
+                     "'channel.hamiltonian'", id="channel"),
+        pytest.param("mac", json.dumps(MAC_SPEC).replace("[[[0.0, 1.0]", "[[[0.0, 1e400]"),
+                     "'mac.channel3'", id="channel3"),
+    ])
+    def test_overflowing_energy_exits_2(self, tmp_path, capsys, command, text, field):
+        # 1e400 reads as an infinite float; only the string "inf" forbids a transition
+        path = tmp_path / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        assert run([command, "--spec", str(path), "--out", "-"]) == 2
         assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, extra", [
@@ -487,3 +581,104 @@ class TestSharedTemperatureAtEveryScale:
         out = tmp_path / "out.json"
         assert run(["analyze", "--spec", path, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["report"]["phase"] in ("Ordered", "Paramagnetic")
+
+
+FOUR_LETTER_SPEC = {
+    "source": {"hamiltonian": [0.0, 0.3, 0.9, 1.4], "beta": 1.2},
+    "channel": {"hamiltonian": [[0.0, 1.0, "inf"], ["inf", 0.5, 0.0]], "beta": 1.2},
+    "ensemble": {"m": [0.5, 0.5]},
+    "lambda": {"num": 3, "den": 2},
+}
+
+# base spec and the command that reads it
+MUTATION_BASES = {
+    "bsc": (BSC_SPEC, ["analyze"]),
+    "four-letter": (FOUR_LETTER_SPEC, ["analyze"]),
+    "eavesdropper": (EAVESDROPPER_SPEC, ["wiretap", "--resolution", "8", "--steps", "2"]),
+    "mac": (MAC_SPEC, ["mac"]),
+}
+
+
+def json_type(value) -> str:
+    for kind, types in (("boolean", bool), ("number", (int, float)), ("string", str),
+                        ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return kind
+    return "null"
+
+
+def mutations(spec):
+    """(keys, replacement, is a type swap) for every node of spec, root included:
+    each value of another JSON type, and Infinity and NaN for each number."""
+    nodes = [((), spec)]
+    for keys, node in nodes:
+        children = node.items() if isinstance(node, dict) else \
+            enumerate(node) if isinstance(node, list) else ()
+        nodes += [(keys + (k,), child) for k, child in children]
+        for new in (5, "x", True, None, [], {}):
+            if json_type(new) != json_type(node):
+                yield keys, new, True
+        if json_type(node) == "number":
+            yield keys, math.inf, False
+            yield keys, math.nan, False
+
+
+def value_at(spec, keys):
+    for key in keys:
+        spec = spec[key]
+    return spec
+
+
+def replaced(spec, keys, new):
+    if not keys:
+        return new
+    out = copy.deepcopy(spec)
+    node = out
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = new
+    return out
+
+
+class TestEveryMalformedNodeExits2:
+    """One node at a time swapped for a value it may not hold: the reader must
+    exit 2 and name the node, a block enclosing it, or a member missing from
+    the replacement.  A number for a channel's "inf" is the one valid swap."""
+
+    @pytest.mark.parametrize("base", sorted(MUTATION_BASES))
+    def test_mutated_spec_names_its_field(self, tmp_path, capsys, base):
+        spec, command = MUTATION_BASES[base]
+        wrong = []
+        for keys, new, _ in mutations(spec):
+            path = write_spec(tmp_path, replaced(spec, keys, new))
+            code = run(command + ["--spec", path, "--out", os.devnull])
+            err = capsys.readouterr().err
+            node = ".".join(k for k in keys if isinstance(k, str)) or "spec"
+            if new == 5 and value_at(spec, keys) == "inf":
+                ok = code == 0
+            else:
+                named = re.search(r"spec field '([^']*)'", err)
+                field = named.group(1) if named else None
+                ok = code == 2 and field is not None and (
+                    field == node or node.startswith(field + ".")
+                    or field.startswith(node + "."))
+            if not ok:
+                wrong.append((keys, new, code, err.strip()[-120:]))
+        assert wrong == []
+
+    @pytest.mark.parametrize("base", sorted(MUTATION_BASES))
+    def test_schema_refuses_every_type_swap(self, base):
+        # the schema and the reader agree on what a spec may hold
+        jsonschema = pytest.importorskip("jsonschema")
+        validate = schema_validator("systemspec.json")
+        spec = MUTATION_BASES[base][0]
+        validate(spec)
+        accepted = []
+        for keys, new, type_swap in mutations(spec):
+            if type_swap and not (new == 5 and value_at(spec, keys) == "inf"):
+                try:
+                    validate(replaced(spec, keys, new))
+                    accepted.append((keys, new))
+                except jsonschema.ValidationError:
+                    pass
+        assert accepted == []

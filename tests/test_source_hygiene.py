@@ -38,3 +38,27 @@ def test_package_modules_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def spec_readers(source: str) -> list:
+    """Every *_from_dict function the module defines and json.load(s) it calls."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_from_dict"):
+            found.append(node.name)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("load", "loads") \
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json":
+            found.append(f"json.{node.func.attr}")
+    return found
+
+
+def test_spec_json_reads_specs():
+    found = spec_readers((PACKAGE / "spec_json.py").read_text(encoding="utf-8"))
+    assert {"system_from_dict", "wiretap_from_dict", "mac_from_dict", "json.load"} <= set(found)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "spec_json.py"])
+def test_only_spec_json_reads_specs(module):
+    # one reader owns the JSON format: its number rule, paths and error names
+    assert spec_readers((PACKAGE / module).read_text(encoding="utf-8")) == []
