@@ -12,24 +12,13 @@ from __future__ import annotations
 
 import argparse
 import copy
+import importlib
 import json
 import math
 import os
 import sys
 from typing import Optional
 
-import numpy as np
-
-from .applications import (
-    equivocation_bound,
-    gamma,
-    mac_mi_user,
-    mac_oracle,
-    mac_phi_conditional_at,
-    max_main_rate,
-    secrecy_capacity,
-    tap_capacity,
-)
 from .errors import (
     BoundarySolution,
     DegenerateFunction,
@@ -44,23 +33,43 @@ from .errors import (
     SpecError,
     TooLarge,
 )
-from .models import SystemSpec, channel_phi_at, zeta_prime_neg
-from .oracle import (
-    DEFAULT_ENUM_BUDGET,
-    draw_code,
-    ensemble_stats,
-    exact_mi,
-    mc_mi,
-)
-from .phases import analyze, mutual_information_rate
-from .spec_json import (
-    eavesdropper_from_dict,
-    load_spec,
-    mac_from_dict,
-    system_from_dict,
-    wiretap_from_dict,
-)
-from .tabulated import DEFAULT_GRID_SIZE
+
+# library module -> the names the commands call; each handler _loads the
+# modules it uses, so a command compiles only what it runs
+_LIBRARY = {
+    "applications": ("equivocation_bound", "gamma", "mac_mi_user", "mac_oracle",
+                     "mac_phi_conditional_at", "max_main_rate", "secrecy_capacity",
+                     "tap_capacity"),
+    "models": ("channel_phi_at", "zeta_prime_neg"),
+    "oracle": ("DEFAULT_ENUM_BUDGET", "draw_code", "ensemble_stats", "exact_mi", "mc_mi"),
+    "phases": ("analyze", "mutual_information_rate"),
+    "spec_json": ("eavesdropper_from_dict", "load_spec", "mac_from_dict", "system_from_dict",
+                  "wiretap_from_dict"),
+    "tabulated": ("DEFAULT_GRID_SIZE",),
+}
+
+
+def _load(*modules: str) -> None:
+    """Bind the _LIBRARY names of modules into this module's globals.
+
+    A name already bound stays: a wrapper set on ``jscthermo.cli`` from
+    outside (a tracer, a test spy) is kept, not overwritten.
+    """
+    bound = globals()
+    for module in modules:
+        home = importlib.import_module(f"{__package__}.{module}")
+        for name in _LIBRARY[module]:
+            bound.setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    # jscthermo.cli.<name> resolves before any command has loaded it
+    for module, names in _LIBRARY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _NUMERIC_ERRORS = (BoundarySolution, DegenerateFunction, EdgeDerivative,
                    ImpossibleOutput, IncompatibleSupport, InfeasibleRate,
@@ -172,8 +181,10 @@ def _emit(args, payload: dict, csv_header, csv_rows):
 
 
 def _cmd_analyze(args) -> int:
+    _load("spec_json", "phases", "tabulated")
+    grid = DEFAULT_GRID_SIZE if args.grid is None else args.grid
     system = system_from_dict(load_spec(args.spec))
-    report = analyze(system, grid_size=args.grid)
+    report = analyze(system, grid_size=grid)
     payload = {"command": "analyze", "report": _report_dict(report)}
     row = [_report_dict(report)[c] for c in _REPORT_COLUMNS]
     _emit(args, payload, _REPORT_COLUMNS, [row])
@@ -197,16 +208,19 @@ def _set_axis(spec: dict, axis: str, value: float) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    _load("spec_json", "phases", "tabulated")
+    import numpy as np
     if args.axis is None or args.start is None or args.stop is None or args.steps is None:
         raise SpecError("axis", "sweep needs --axis, --from, --to and --steps")
     if args.steps < 1:
         raise SpecError("steps", "need at least one step")
+    grid = DEFAULT_GRID_SIZE if args.grid is None else args.grid
     spec = load_spec(args.spec)
     values = np.linspace(args.start, args.stop, args.steps)
     rows = []
     for value in values:
         system = system_from_dict(_set_axis(spec, args.axis, float(value)))
-        report = analyze(system, grid_size=args.grid)
+        report = analyze(system, grid_size=grid)
         rows.append([float(value)] + [_report_dict(report)[c] for c in _REPORT_COLUMNS])
     header = ["axis_value"] + _REPORT_COLUMNS
     payload = {
@@ -218,7 +232,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _check_block_length(system: SystemSpec, n: int) -> None:
+def _check_block_length(system, n: int) -> None:
     """SpecError on 'n' unless lambda*n is a whole number of channel letters."""
     try:
         system.block_length(n)
@@ -227,6 +241,7 @@ def _check_block_length(system: SystemSpec, n: int) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    _load("spec_json", "phases", "oracle")
     if args.n < 1:
         raise SpecError("n", "need a block length of at least 1")
     if args.trials and args.trials < 100:
@@ -238,7 +253,7 @@ def _cmd_simulate(args) -> int:
                         "enumerates every codebook exactly")
     system = system_from_dict(load_spec(args.spec))
     _check_block_length(system, args.n)
-    budget = args.budget
+    budget = DEFAULT_ENUM_BUDGET if args.budget is None else args.budget
     formula_mi = mutual_information_rate(system)
     if args.seeds > 1:
         stats = ensemble_stats(system, args.n, args.seeds, args.seed, budget)
@@ -287,6 +302,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_wiretap(args) -> int:
+    _load("spec_json", "applications")
+    import numpy as np
     if args.resolution < 1:
         raise SpecError("resolution", "need at least 1 simplex step")
     if args.steps < 2:
@@ -319,6 +336,7 @@ def _cmd_wiretap(args) -> int:
 
 
 def _cmd_mac(args) -> int:
+    _load("spec_json", "models", "applications", "oracle")
     if args.n < 0:
         raise SpecError("n", "block length must be nonnegative")
     mac = mac_from_dict(load_spec(args.spec))
@@ -333,7 +351,8 @@ def _cmd_mac(args) -> int:
         "phi_joint": channel_phi_at(combined, eps_c).value,
     }
     if args.n:
-        report = mac_oracle(mac, args.n, args.seed, args.budget)
+        budget = DEFAULT_ENUM_BUDGET if args.budget is None else args.budget
+        report = mac_oracle(mac, args.n, args.seed, budget)
         payload["oracle"] = {
             "N": args.n, "seed": args.seed,
             "mi_s": report.mi_s, "mi_t_given_s": report.mi_t_given_s,
@@ -345,14 +364,15 @@ def _cmd_mac(args) -> int:
     return 0
 
 
-def _budget(flag: Optional[int]) -> int:
-    """--budget if given, else $JSC_BUDGET, else the default; never negative."""
+def _budget(flag: Optional[int]) -> Optional[int]:
+    """--budget if given, else $JSC_BUDGET, else None for the oracle's
+    default, which only simulate and mac load; never negative."""
     text = os.environ.get("JSC_BUDGET")
     try:
-        budget = flag if flag is not None else int(text) if text else DEFAULT_ENUM_BUDGET
+        budget = flag if flag is not None else int(text) if text else None
     except ValueError:
         raise SpecError("budget", f"JSC_BUDGET={text!r} is not an integer") from None
-    if budget < 0:
+    if budget is not None and budget < 0:
         raise SpecError("budget", f"{budget} is negative")
     return budget
 
@@ -373,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bits", action="store_true",
                        help="report information quantities in bits")
         if grid:   # only analyze reports depend on the tabulation
-            p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE,
+            p.add_argument("--grid", type=int,
                            help="grid size of the tabulated combined entropy; sets only the "
                                 "resolution of epsilon0 and sigma_at_eps0")
 
@@ -419,7 +439,7 @@ def main(argv=None) -> int:
         "mac": _cmd_mac,
     }
     try:
-        if "grid" in args and args.grid < 3:
+        if getattr(args, "grid", None) is not None and args.grid < 3:
             raise SpecError("grid", "need at least 3 grid points")
         args.budget = _budget(args.budget)
         return handlers[args.command](args)

@@ -11,6 +11,7 @@ the closed-form crossover/bias parameter mappings and binary convolution.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -45,6 +46,17 @@ def masked_log(p):
     """ln p elementwise, -inf where p = 0, without a divide-by-zero warning."""
     positive = p > 0.0
     return np.where(positive, np.log(np.where(positive, p, 1.0)), -np.inf)
+
+
+def _zero_based(e: np.ndarray, allowed: np.ndarray, what: str) -> np.ndarray:
+    """e, read-only, shifted so its least allowed entry is 0; ValueError if
+    the allowed entries span more than the largest double."""
+    low, high = float(e[allowed].min()), float(e[allowed].max())
+    if not high - low <= sys.float_info.max:   # Python floats overflow to inf quietly
+        raise ValueError(f"{what} energies must span at most {sys.float_info.max:g}")
+    e = e - low
+    e.setflags(write=False)
+    return e
 
 
 def entropy(p, axis=-1):
@@ -147,9 +159,7 @@ class SourceSpec(_ByContent):
             raise ValueError("source energies must be finite")
         if not 0.0 < self.beta < math.inf:
             raise ValueError("source beta must be positive and finite")
-        e = e - e.min()
-        e.setflags(write=False)
-        object.__setattr__(self, "hamiltonian", e)
+        object.__setattr__(self, "hamiltonian", _zero_based(e, np.isfinite(e), "source"))
 
     @property
     def alphabet_size(self) -> int:
@@ -367,9 +377,7 @@ class ChannelSpec(_ByContent):
             raise ValueError("every input needs at least one allowed output")
         if not 0.0 < self.beta < math.inf:
             raise ValueError("channel beta must be positive and finite")
-        e = e - e[finite].min()
-        e.setflags(write=False)
-        object.__setattr__(self, "hamiltonian", e)
+        object.__setattr__(self, "hamiltonian", _zero_based(e, finite, "channel"))
 
     @property
     def in_size(self) -> int:
@@ -385,8 +393,14 @@ class ChannelSpec(_ByContent):
     @classmethod
     def from_transition(cls, w, beta: float) -> "ChannelSpec":
         """The channel at beta whose transition matrix is w: E = -ln W / beta,
-        +inf where W = 0, so every row has Z_x = 1 before the global shift."""
-        return cls(-masked_log(np.asarray(w, dtype=float)) / beta, beta)
+        +inf where W = 0, so every row has Z_x = 1 before the global shift.
+        ValueError if an allowed transition's energy overflows at this beta."""
+        w = np.asarray(w, dtype=float)
+        with np.errstate(over="ignore"):
+            e = -masked_log(w) / beta
+        if np.isinf(e[w > 0.0]).any():
+            raise ValueError(f"energies -ln W / beta overflow at beta = {beta:g}")
+        return cls(e, beta)
 
     def row_log_partition(self) -> np.ndarray:
         """ln Z_x = ln sum_y exp(-beta E(x, y)) for every input x."""

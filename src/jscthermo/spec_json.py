@@ -12,14 +12,16 @@ import math
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .applications import MacChannelSpec, MacSpec, WiretapSpec
 from .errors import SpecError
 from .models import (ChannelSpec, EnsembleSpec, SourceSpec, SystemSpec, energy_from_crossover,
                      field_from_bias, source_shannon_entropy)
+
+if TYPE_CHECKING:   # applications loads the oracle; only its readers import it
+    from .applications import MacSpec, WiretapSpec
 
 
 def _member(obj: dict, key: str, context: str = ""):
@@ -56,7 +58,8 @@ def _number(value, path: str, inf_ok: bool = False) -> float:
 
 
 def _numbers(value, path: str, ndim: int, inf_ok: bool = False) -> np.ndarray:
-    """JSON arrays of numbers nested ndim deep as a float array; spec types check the shape."""
+    """JSON arrays of numbers nested ndim deep as a float array whose finite
+    entries differ by at most the largest double; spec types check the shape."""
     def read(node, depth):
         if depth == ndim:
             return _number(node, path, inf_ok)
@@ -65,7 +68,11 @@ def _numbers(value, path: str, ndim: int, inf_ok: bool = False) -> np.ndarray:
         return [read(item, depth + 1) for item in node]
 
     with _checked(path):   # numpy refuses ragged rows
-        return np.array(read(value, 0), dtype=float)
+        array = np.array(read(value, 0), dtype=float)
+    finite = array[np.isfinite(array)]
+    if finite.size and not float(finite.max()) - float(finite.min()) <= sys.float_info.max:
+        raise SpecError(path, "numbers must differ by at most the largest double")
+    return array
 
 
 @contextmanager
@@ -144,6 +151,8 @@ def system_from_dict(obj: dict) -> SystemSpec:
 
 def wiretap_from_dict(obj: dict) -> WiretapSpec:
     """The WiretapSpec of a spec's `wiretap` block."""
+    from .applications import WiretapSpec
+
     block, path = _block(_top(obj), "wiretap")
     main = _boltzmann("channel", *_block(block, "main", path))
     tap = _boltzmann("channel", *_block(block, "tap", path))
@@ -178,6 +187,8 @@ def eavesdropper_from_dict(obj: dict, wiretap: WiretapSpec) -> Optional[SystemSp
 
 def mac_from_dict(obj: dict) -> MacSpec:
     """The MacSpec of a spec's `mac` block; keys ending in _t are user T's."""
+    from .applications import MacChannelSpec, MacSpec
+
     block, path = _block(_top(obj), "mac")
     source_s = _boltzmann("source", block, path)
     source_t = _boltzmann("source", block, path, suffix="_t")

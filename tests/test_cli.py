@@ -493,11 +493,28 @@ class TestDocumentedExitCodes:
             WIRETAP_SPEC["wiretap"], eavesdropper={"source": {"hamiltonian": [0.0, 1.0],
                                                               "beta": 1e-310}})},
             "'wiretap.eavesdropper'", id="eavesdropper-beta-underflow"),
+        # finite energies whose span passes the largest double cannot be
+        # shifted to a zero minimum
+        pytest.param(["analyze"], {**BSC_SPEC, "source": {"hamiltonian": [1e308, -1e308],
+                                                          "beta": 1.0}},
+                     "'source.hamiltonian'", id="source-energy-span-overflow"),
+        pytest.param(["analyze"], {**BSC_SPEC, "channel": {
+            "hamiltonian": [[1e308, -1e308], [0.0, 1.0]], "beta": 1.0}},
+            "'channel.hamiltonian'", id="channel-energy-span-overflow"),
     ])
     def test_bad_size_exits_2(self, tmp_path, capsys, args, spec, field):
         path = write_spec(tmp_path, spec)
         assert run(args + ["--spec", path, "--out", "-"]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_eavesdropper_beta_underflow_warns_nothing(self, tmp_path, capsys):
+        # -ln W / beta overflows; that is a spec error, not a numpy warning
+        spec = {"wiretap": dict(WIRETAP_SPEC["wiretap"], eavesdropper={
+            "source": {"hamiltonian": [0.0, 1.0], "beta": 1e-310}})}
+        path = write_spec(tmp_path, spec)
+        assert run(["wiretap", "--resolution", "8", "--spec", path, "--out", "-"]) == 2
+        assert "'wiretap.eavesdropper'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text, field", [
         pytest.param("analyze", '{"binary_source": {"q": 0.5}, "lambda": {"num": 1, "den": 1}, '

@@ -159,6 +159,23 @@ class TestBoltzmannConventions:
         log_z = channel.row_log_partition()
         np.testing.assert_allclose(log_z, log_z[0], atol=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    def test_from_transition_refuses_an_overflowing_allowed_energy(self):
+        # at beta = 1e-306, -ln(1e-300) / beta passes the largest double
+        w = np.array([[1.0 - 1e-300, 1e-300], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="overflow"):
+            ChannelSpec.from_transition(w, 1e-306)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [
+        lambda: SourceSpec(np.array([1e308, -1e308]), 1.0),
+        lambda: ChannelSpec(np.array([[1e308, -1e308], [0.0, np.inf]]), 1.0),
+    ], ids=["source", "channel"])
+    def test_energies_spanning_past_the_largest_double_are_refused(self, make):
+        # shifting them to a zero minimum would overflow
+        with pytest.raises(ValueError, match="span"):
+            make()
+
     def test_row_log_partition_normalises_the_rows(self):
         channel = ChannelSpec(np.array([[0.0, 1.5], [0.0, 0.0]]), 1.0)
         np.testing.assert_allclose(channel.row_log_partition(),
