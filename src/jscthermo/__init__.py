@@ -22,7 +22,7 @@ _EXPORTS = {
     "errors": (
         "BoundarySolution", "DegenerateFunction", "EdgeDerivative", "ImpossibleOutput",
         "IncompatibleSupport", "InfeasibleRate", "InvalidTemperature", "NotAboveCapacity",
-        "OutOfRange", "PhaseMismatch", "SpecError", "TooLarge",
+        "NumericalFailure", "OutOfRange", "PhaseMismatch", "SpecError", "TooLarge",
     ),
     "models": (
         "ChannelSpec", "EnsembleSpec", "EntropyPoint", "PhiPoint", "SourceSpec", "SystemSpec",

@@ -81,8 +81,12 @@ class WiretapSpec(_ByContent):
 
     def __post_init__(self):
         object.__setattr__(self, "lam", Fraction(self.lam))
+        if self.lam <= 0:
+            raise ValueError("lambda must be positive")
         if self.tap_channel.in_size != self.main_channel.out_size:
             raise ValueError("tap channel must consume the main channel output")
+        if not math.isfinite(self.source_entropy):
+            raise ValueError("source entropy must be finite")
         if self.source_entropy < 0:
             raise ValueError("source entropy must be nonnegative")
 

@@ -19,20 +19,7 @@ import os
 import sys
 from typing import Optional
 
-from .errors import (
-    BoundarySolution,
-    DegenerateFunction,
-    EdgeDerivative,
-    ImpossibleOutput,
-    IncompatibleSupport,
-    InfeasibleRate,
-    InvalidTemperature,
-    NotAboveCapacity,
-    OutOfRange,
-    PhaseMismatch,
-    SpecError,
-    TooLarge,
-)
+from .errors import NumericalFailure, SpecError, TooLarge
 
 # library module -> the names the commands call; each handler _loads the
 # modules it uses, so a command compiles only what it runs
@@ -70,11 +57,6 @@ def __getattr__(name: str):
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-_NUMERIC_ERRORS = (BoundarySolution, DegenerateFunction, EdgeDerivative,
-                   ImpossibleOutput, IncompatibleSupport, InfeasibleRate,
-                   InvalidTemperature, NotAboveCapacity, OutOfRange,
-                   PhaseMismatch)
 
 _LN2 = math.log(2.0)
 
@@ -146,48 +128,41 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _csv_text(records: list) -> str:
+    """One line per record under a header of the first record's keys."""
+    lines = [",".join(records[0])]
+    for record in records:
+        lines.append(",".join(_fmt(v) for v in record.values()))
     return "\n".join(lines) + "\n"
 
 
+def _fields(report) -> dict:
+    """A report dataclass as a dict in field order."""
+    from dataclasses import asdict   # not at the top: models has imported it by now
+    return asdict(report)
+
+
 def _report_dict(report) -> dict:
-    return {
-        "phase": report.phase.value,
-        "epsilon0": report.epsilon0,
-        "epsilon_star": report.epsilon_star,
-        "channel_share": report.channel_share,
-        "mi_rate": report.mi_rate,
-        "source_entropy": report.source_entropy,
-        "sigma_at_eps0": report.sigma_at_eps0,
-    }
-
-_REPORT_COLUMNS = ["phase", "epsilon0", "epsilon_star", "channel_share",
-                   "mi_rate", "source_entropy", "sigma_at_eps0"]
+    return dict(_fields(report), phase=report.phase.value)
 
 
-def _emit(args, payload: dict, csv_header, csv_rows):
+def _emit(args, payload: dict, records: list) -> None:
+    """Print payload as JSON, or records (one dict per row) as CSV."""
     if args.bits:
-        payload = _to_bits(payload)
-        csv_rows = [[_to_bits(v, name) for name, v in zip(csv_header, row)]
-                    for row in csv_rows]
+        payload, records = _to_bits(payload), _to_bits(records)
     payload["units"] = "bits" if args.bits else "nats"
     if args.format == "json":
         _write(args.out, _json_text(payload) + "\n")
     else:
-        _write(args.out, _csv_text(csv_header, csv_rows))
+        _write(args.out, _csv_text(records))
 
 
 def _cmd_analyze(args) -> int:
     _load("spec_json", "phases", "tabulated")
     grid = DEFAULT_GRID_SIZE if args.grid is None else args.grid
     system = system_from_dict(load_spec(args.spec))
-    report = analyze(system, grid_size=grid)
-    payload = {"command": "analyze", "report": _report_dict(report)}
-    row = [_report_dict(report)[c] for c in _REPORT_COLUMNS]
-    _emit(args, payload, _REPORT_COLUMNS, [row])
+    record = _report_dict(analyze(system, grid_size=grid))
+    _emit(args, {"command": "analyze", "report": record}, [record])
     return 0
 
 
@@ -221,14 +196,8 @@ def _cmd_sweep(args) -> int:
     for value in values:
         system = system_from_dict(_set_axis(spec, args.axis, float(value)))
         report = analyze(system, grid_size=grid)
-        rows.append([float(value)] + [_report_dict(report)[c] for c in _REPORT_COLUMNS])
-    header = ["axis_value"] + _REPORT_COLUMNS
-    payload = {
-        "command": "sweep",
-        "axis": args.axis,
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    _emit(args, payload, header, rows)
+        rows.append({"axis_value": float(value), **_report_dict(report)})
+    _emit(args, {"command": "sweep", "axis": args.axis, "rows": rows}, rows)
     return 0
 
 
@@ -238,6 +207,12 @@ def _check_block_length(system, n: int) -> None:
         system.block_length(n)
     except ValueError as exc:
         raise SpecError("n", str(exc)) from None
+
+
+# the CSV columns of simulate, a subset of its JSON fields
+_SIMULATE_COLUMNS = ("N", "seed", "mode", "h_s", "h_s_given_y", "mi_per_symbol",
+                     "stderr", "theorem1_mi", "gap")
+_ENSEMBLE_COLUMNS = ("N", "num_seeds", "mi_mean", "mi_var", "theorem1_mi", "gap")
 
 
 def _cmd_simulate(args) -> int:
@@ -255,49 +230,29 @@ def _cmd_simulate(args) -> int:
     _check_block_length(system, args.n)
     budget = DEFAULT_ENUM_BUDGET if args.budget is None else args.budget
     formula_mi = mutual_information_rate(system)
+    payload = {"command": "simulate", "N": args.n, "seed": args.seed,
+               "theorem1_mi": formula_mi}
     if args.seeds > 1:
-        stats = ensemble_stats(system, args.n, args.seeds, args.seed, budget)
-        gap = abs(stats.mi_mean - formula_mi)
-        payload = {
-            "command": "simulate", "mode": "exact-ensemble", "N": args.n,
-            "seed": args.seed, "num_seeds": stats.num_seeds,
-            "mi_mean": stats.mi_mean, "mi_var": stats.mi_var,
-            "h_s_given_y_mean": stats.h_s_given_y_mean,
-            "energy_split_source_mean": stats.energy_split_source_mean,
-            "energy_split_channel_mean": stats.energy_split_channel_mean,
-            "z_c_fraction_mean": stats.z_c_fraction_mean,
-            "theorem1_mi": formula_mi, "gap": gap,
-        }
-        header = ["N", "num_seeds", "mi_mean", "mi_var", "theorem1_mi", "gap"]
-        rows = [[args.n, stats.num_seeds, stats.mi_mean, stats.mi_var, formula_mi, gap]]
-        _emit(args, payload, header, rows)
-        return 0
-    if args.trials:
-        report = mc_mi(draw_code(system, args.n, args.seed, budget), args.trials, args.seed)
-        mode = "mc"
+        stats = _fields(ensemble_stats(system, args.n, args.seeds, args.seed, budget))
+        del stats["degenerate"]
+        payload.update(stats, mode="exact-ensemble", gap=abs(stats["mi_mean"] - formula_mi))
+        record = {key: payload[key] for key in _ENSEMBLE_COLUMNS}
     else:
-        try:
-            report = exact_mi(draw_code(system, args.n, args.seed, budget), budget)
-        except TooLarge as exc:
-            raise TooLarge(f"{exc}; rerun with --trials INT for Monte Carlo") from exc
-        mode = "exact"
-    gap = abs(report.mi_per_symbol - formula_mi)
-    payload = {
-        "command": "simulate", "mode": mode, "N": args.n, "seed": args.seed,
-        "report": {
-            "h_s": report.h_s, "h_s_given_y": report.h_s_given_y,
-            "mi_per_symbol": report.mi_per_symbol, "stderr": report.stderr,
-            "energy_split_source": report.energy_split_source,
-            "energy_split_channel": report.energy_split_channel,
-            "z_c_fraction": report.z_c_fraction,
-        },
-        "theorem1_mi": formula_mi, "gap": gap,
-    }
-    header = ["N", "seed", "mode", "h_s", "h_s_given_y", "mi_per_symbol",
-              "stderr", "theorem1_mi", "gap"]
-    rows = [[args.n, args.seed, mode, report.h_s, report.h_s_given_y,
-             report.mi_per_symbol, report.stderr, formula_mi, gap]]
-    _emit(args, payload, header, rows)
+        if args.trials:
+            report = mc_mi(draw_code(system, args.n, args.seed, budget), args.trials, args.seed)
+            mode = "mc"
+        else:
+            try:
+                report = exact_mi(draw_code(system, args.n, args.seed, budget), budget)
+            except TooLarge as exc:
+                raise TooLarge(f"{exc}; rerun with --trials INT for Monte Carlo") from exc
+            mode = "exact"
+        report = _fields(report)
+        payload.update(mode=mode, report=report,
+                       gap=abs(report["mi_per_symbol"] - formula_mi))
+        flat = {**payload, **report}
+        record = {key: flat[key] for key in _SIMULATE_COLUMNS}
+    _emit(args, payload, [record])
     return 0
 
 
@@ -329,9 +284,7 @@ def _cmd_wiretap(args) -> int:
     }
     if eaves is not None:
         payload["equivocation"] = equivocation_bound(wt, eaves, resolution=resolution)
-    header = ["rate", "gamma", "c_s"]
-    rows = [[entry["rate"], entry["gamma"], c_s] for entry in table]
-    _emit(args, payload, header, rows)
+    _emit(args, payload, [dict(row, c_s=c_s) for row in table])
     return 0
 
 
@@ -343,24 +296,18 @@ def _cmd_mac(args) -> int:
     combined = mac.combined_system()
     _check_block_length(combined, args.n)
     eps_c = zeta_prime_neg(combined)
-    payload = {
-        "command": "mac",
+    record = {
         "mi_user_s": mac_mi_user(mac),
         "eps_channel": eps_c,
         "phi_conditional": mac_phi_conditional_at(mac, eps_c).value,
         "phi_joint": channel_phi_at(combined, eps_c).value,
     }
+    payload = {"command": "mac", **record}
     if args.n:
         budget = DEFAULT_ENUM_BUDGET if args.budget is None else args.budget
         report = mac_oracle(mac, args.n, args.seed, budget)
-        payload["oracle"] = {
-            "N": args.n, "seed": args.seed,
-            "mi_s": report.mi_s, "mi_t_given_s": report.mi_t_given_s,
-            "mi_joint": report.mi_joint,
-        }
-    header = ["mi_user_s", "eps_channel", "phi_conditional", "phi_joint"]
-    rows = [[payload["mi_user_s"], eps_c, payload["phi_conditional"], payload["phi_joint"]]]
-    _emit(args, payload, header, rows)
+        payload["oracle"] = {"N": args.n, "seed": args.seed, **report._asdict()}
+    _emit(args, payload, [record])
     return 0
 
 
@@ -399,9 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="single-point phase and rate report")
     common(p, grid=True)
+    p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("sweep", help="one analyze row per axis value")
     common(p, grid=True)
+    p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--axis", help="dotted path of a numeric spec field, e.g. bsc.p")
     p.add_argument("--from", dest="start", type=float)
     p.add_argument("--to", dest="stop", type=float)
@@ -409,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="finite-size oracle vs the rate formula")
     common(p)
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--n", type=int, required=True, help="source block length N")
     p.add_argument("--seeds", type=int, default=1,
                    help="aggregate over this many derived codebook seeds")
@@ -417,12 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wiretap", help="secrecy capacity and leakage curve")
     common(p)
+    p.set_defaults(handler=_cmd_wiretap)
     p.add_argument("--resolution", type=int, default=1000,
                    help="simplex grid steps per axis")
     p.add_argument("--steps", type=int, default=20, help="rate grid points")
 
     p = sub.add_parser("mac", help="per-user rate for the two-user channel")
     common(p)
+    p.set_defaults(handler=_cmd_mac)
     p.add_argument("--n", type=int, default=0,
                    help="also run the exact two-codebook oracle at this N")
     return parser
@@ -431,25 +383,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "sweep": _cmd_sweep,
-        "simulate": _cmd_simulate,
-        "wiretap": _cmd_wiretap,
-        "mac": _cmd_mac,
-    }
     try:
         if getattr(args, "grid", None) is not None and args.grid < 3:
             raise SpecError("grid", "need at least 3 grid points")
         args.budget = _budget(args.budget)
-        return handlers[args.command](args)
+        return args.handler(args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
     except TooLarge as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except _NUMERIC_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -1,27 +1,37 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Every class is, or derives from, one base per CLI exit code: SpecError (2),
+TooLarge (3) or NumericalFailure (4).
+"""
 
 
-class DegenerateFunction(ValueError):
+class NumericalFailure(Exception):
+    """A phase, root or feasibility precondition failed.  Each subclass keeps a
+    ValueError or RuntimeError base too, so a spec reader that turns
+    ValueError into SpecError still reports a bad kT or q as a spec error."""
+
+
+class DegenerateFunction(NumericalFailure, ValueError):
     """Too few finite samples to carry out the requested construction."""
 
 
-class EdgeDerivative(ValueError):
+class EdgeDerivative(NumericalFailure, ValueError):
     """Derivative requested at or outside the edge of the finite support."""
 
 
-class InvalidTemperature(ValueError):
+class InvalidTemperature(NumericalFailure, ValueError):
     """kT must be strictly positive."""
 
 
-class OutOfRange(ValueError):
+class OutOfRange(NumericalFailure, ValueError):
     """Parameter outside its admissible open interval."""
 
 
-class IncompatibleSupport(ValueError):
+class IncompatibleSupport(NumericalFailure, ValueError):
     """An output with positive probability has no compatible input letter."""
 
 
-class PhaseMismatch(RuntimeError):
+class PhaseMismatch(NumericalFailure, RuntimeError):
     """Operation only defined in the paramagnetic phase."""
 
 
@@ -29,15 +39,15 @@ class TooLarge(RuntimeError):
     """Requested enumeration exceeds the configured budget."""
 
 
-class ImpossibleOutput(ValueError):
+class ImpossibleOutput(NumericalFailure, ValueError):
     """Channel output has zero likelihood under every message."""
 
 
-class InfeasibleRate(ValueError):
+class InfeasibleRate(NumericalFailure, ValueError):
     """No input distribution meets the rate constraint."""
 
 
-class NotAboveCapacity(ValueError):
+class NotAboveCapacity(NumericalFailure, ValueError):
     """Code rate does not exceed the eavesdropper channel capacity."""
 
 
@@ -50,7 +60,7 @@ class SpecError(ValueError):
         super().__init__(f"spec field '{field}'{detail}")
 
 
-class BoundarySolution(RuntimeError):
+class BoundarySolution(NumericalFailure, RuntimeError):
     """Equilibrium slope equation has no interior root.
 
     The supremum is attained at an endpoint of the feasible interval;

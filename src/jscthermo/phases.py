@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -144,9 +143,10 @@ def _convolution_table(sigma_s: ConcaveFunction, phi: ConcaveFunction,
     return TabulatedFunction(lo, hi, vals)
 
 
-@lru_cache(maxsize=32)
-def _combined_entropy(system: SystemSpec, grid_size: int) -> TabulatedFunction:
-    """The enveloped combined entropy table, negative values clipped to NEG_INF."""
+def total_entropy(system: SystemSpec,
+                  grid_size: int = DEFAULT_GRID_SIZE) -> TabulatedFunction:
+    """Typical-code combined entropy over the total per-particle energy: the
+    enveloped table, negative values clipped to NEG_INF."""
     sigma_s = source_entropy_function(system.source, grid_size)
     phi = channel_phi(system, grid_size)
     conv = _convolution_table(sigma_s, phi, system.lambda_value, grid_size)
@@ -157,19 +157,13 @@ def _combined_entropy(system: SystemSpec, grid_size: int) -> TabulatedFunction:
     return clip_nonnegative(conv)
 
 
-def total_entropy(system: SystemSpec,
-                  grid_size: int = DEFAULT_GRID_SIZE) -> TabulatedFunction:
-    """Typical-code combined entropy over the total per-particle energy."""
-    return _combined_entropy(system, grid_size)
-
-
 def dominant_energy(system: SystemSpec, beta: Optional[float] = None,
                     grid_size: int = DEFAULT_GRID_SIZE,
                     sigma: Optional[TabulatedFunction] = None) -> DominantEnergy:
     """Grid argmax of Sigma(eps) - beta*eps, ties toward the smallest eps; the
     slope beta defaults to the system's own, sigma to the system's table."""
     if sigma is None:
-        sigma = _combined_entropy(system, grid_size)
+        sigma = total_entropy(system, grid_size)
     if not sigma.finite_mask.any():
         return DominantEnergy(math.nan, NEG_INF)
     sup = legendre_sup(sigma, system.beta if beta is None else beta)
@@ -200,7 +194,7 @@ def analyze(system: SystemSpec, grid_size: int = DEFAULT_GRID_SIZE) -> PhaseRepo
     lam = system.lambda_value
     phase, mi, h_source, eps_channel = _entropy_balance(system)
     eps_source = system.source.mean_energy()
-    sigma = _combined_entropy(system, grid_size)
+    sigma = total_entropy(system, grid_size)
     if phase is Phase.ORDERED:
         eps0 = (eps_source + lam * eps_channel) / (1.0 + lam)
     else:
@@ -224,7 +218,7 @@ def energy_split(system: SystemSpec, grid_size: int = DEFAULT_GRID_SIZE):
     if report.phase is not Phase.PARAMAGNETIC:
         raise PhaseMismatch(f"energy split defined in the paramagnetic phase, got {report.phase.value}")
     lam = system.lambda_value
-    sigma = _combined_entropy(system, grid_size)
+    sigma = total_entropy(system, grid_size)
     gap = abs((1.0 + lam) * report.epsilon0
               - (report.epsilon_star + lam * report.channel_share))
     if gap > 3.0 * (1.0 + lam) * sigma.step:

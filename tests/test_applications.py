@@ -65,6 +65,21 @@ def additive_mac(m_s, m_t, p, lam=1):
                    MacChannelSpec(energies, beta), Fraction(lam))
 
 
+class TestWiretapSpecValidation:
+    """WiretapSpec refuses what SystemSpec and MacSpec refuse."""
+
+    @pytest.mark.parametrize("lam", [0, -1])
+    def test_nonpositive_lambda_is_refused(self, lam):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            degraded_pair(0.05, 0.1, lam=lam)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_non_finite_source_entropy_is_refused(self, h):
+        # a NaN would otherwise drop out of equivocation_bound's min
+        with pytest.raises(ValueError, match="source entropy must be finite"):
+            degraded_pair(0.05, 0.1, source_entropy=h)
+
+
 class TestGamma:
     def test_identity_tap_leaks_everything(self):
         spec = WiretapSpec(bsc_channel(0.1), bsc_channel(0.0), Fraction(1), LN2)

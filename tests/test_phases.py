@@ -19,6 +19,7 @@ from jscthermo import (
     analyze,
     binary_convolution,
     binary_entropy,
+    channel_mutual_information,
     classify_phase,
     derivative,
     dominant_energy,
@@ -320,6 +321,17 @@ class TestMutualInformationRate:
             system = bsc_system(p, lam=lam, alphabet=3)
             mi = mutual_information_rate(system)
             assert 0.0 <= mi <= min(math.log(3.0), lam * LN2) + 1e-12
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the channel family tilts the raw E(x,y), not -ln W(y|x)/beta, so the rate "
+        "misses I(M;W) when the inputs' partition functions differ (0.07442 vs 0.05774)"))
+    def test_asymmetric_channel_rate_is_the_channel_information(self):
+        channel = ChannelSpec(np.array([[0.0, 1.5], [0.0, 0.0]]), 1.0)
+        m = np.array([0.5, 0.5])
+        system = SystemSpec(SourceSpec(np.zeros(4), 1.0), channel, EnsembleSpec(m), Fraction(1))
+        assert classify_phase(system) is Phase.PARAMAGNETIC
+        info = channel_mutual_information(m, channel.transition_matrix())
+        assert abs(mutual_information_rate(system) - info) <= 1e-12
 
 
 class TestEnergySplit:

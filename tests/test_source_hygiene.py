@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import inspect
 import pathlib
 import symtable
 
@@ -137,3 +138,15 @@ def test_cli_binds_every_library_name_it_reads():
     defined = {p.stem: top_level_names(p.read_text(encoding="utf-8"))
                for p in PACKAGE.glob("*.py")}
     assert lazy_binding_faults((PACKAGE / "cli.py").read_text(encoding="utf-8"), defined) == []
+
+
+def test_every_error_has_one_exit_code_base():
+    # the CLI maps SpecError to exit 2, TooLarge to 3 and NumericalFailure to
+    # 4; a class under none of them would escape as a traceback
+    from jscthermo import errors
+    bases = (errors.SpecError, errors.TooLarge, errors.NumericalFailure)
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+               if c.__module__ == errors.__name__]
+    assert set(bases) <= set(classes)
+    for cls in classes:
+        assert sum(issubclass(cls, base) for base in bases) == 1, cls
